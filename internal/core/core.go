@@ -119,7 +119,7 @@ func NewCluster(cfg Config) *Cluster {
 		a.Telemetry = cfg.Telemetry
 		c.Agents = append(c.Agents, a)
 	}
-	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, topo)
+	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, net.Topo)
 	// Surface the MN's recovery transitions (revocations, donor
 	// failovers) on the plane's event stream.
 	c.MN.Observe(c.hub.forwardRecovery)

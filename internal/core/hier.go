@@ -99,6 +99,9 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 		}
 	}
 	h := fabric.RackSpine(cfg.Racks, cfg.RackX, cfg.RackY, cfg.RackZ, spines, uplinks)
+	// One route table for the whole cluster: the network, every sub-MN
+	// and c.Hier all carry this routed copy.
+	h.Topology = h.Routed()
 
 	var p *sim.Params
 	if cfg.Params == nil {
@@ -166,7 +169,7 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 
 	for r := 0; r < cfg.Racks; r++ {
 		subNode := c.SubNode(r)
-		sub := monitor.New(c.Nodes[subNode].EP, h.Topology)
+		sub := monitor.New(c.Nodes[subNode].EP, net.Topo)
 		sub.Observe(c.hub.forwardRecovery)
 		sub.Admission = cfg.Admission
 		sub.HeartbeatTimeout = hbTimeout

@@ -34,6 +34,33 @@ func stepUntil(t *testing.T, cl *HierCluster, done *sim.Completion) {
 	}
 }
 
+// TestClustersShareOneRouteTable: a cluster routes its topology once.
+// The network (its switches forward by this table), every monitor and
+// the cluster's own Hier read the same *fabric.Routes, so no consumer
+// pays for a private copy of the all-pairs table.
+func TestClustersShareOneRouteTable(t *testing.T) {
+	cl := NewHierCluster(hierTestConfig(false))
+	defer cl.Close()
+	routes := cl.Net.Topo.Routes()
+	if cl.Hier.Routes() != routes {
+		t.Fatal("HierCluster.Hier carries a different route table than the network")
+	}
+	for r, sub := range cl.Subs {
+		if sub.Topo.Routes() != routes {
+			t.Fatalf("sub-MN of rack %d carries its own route table", r)
+		}
+		if v := sub.View(); v.Topo.Routes() != routes {
+			t.Fatalf("sub-MN of rack %d builds views over another route table", r)
+		}
+	}
+
+	flat := NewCluster(Config{})
+	defer flat.Close()
+	if flat.MN.Topo.Routes() != flat.Net.Topo.Routes() {
+		t.Fatal("flat MN carries a different route table than the network")
+	}
+}
+
 // TestHierBorrowScopes: a rack-local borrow stays in the rack, a
 // remote-scoped borrow is delegated across the spine by the root MN,
 // and both free cleanly through the same release path.

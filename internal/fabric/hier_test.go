@@ -6,16 +6,23 @@ import (
 	"repro/internal/sim"
 )
 
-// refDistances is an independently-written BFS over a topology's edge
-// list, used as ground truth for the hop-count property: it shares no
-// code with Topology.HopCount / shortestNextHops.
-func refDistances(t Topology) [][]int {
+// refAdjacency lists each node's neighbors in edge-insertion order,
+// written independently of Topology.adjacency.
+func refAdjacency(t Topology) [][]int {
 	adj := make([][]int, t.N)
 	for _, e := range t.Edges {
 		a, b := int(e[0]), int(e[1])
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
+	return adj
+}
+
+// refDistances is an independently-written BFS over a topology's edge
+// list, used as ground truth for the route properties: it shares no
+// code with Topology.buildRoutes.
+func refDistances(t Topology) [][]int {
+	adj := refAdjacency(t)
 	all := make([][]int, t.N)
 	for src := 0; src < t.N; src++ {
 		dist := make([]int, t.N)
@@ -54,6 +61,7 @@ func TestRackSpineProperty(t *testing.T) {
 		spines := 1 + rng.Intn(3)
 		uplinks := 1 + rng.Intn(rackSize)
 		h := RackSpine(racks, x, y, z, spines, uplinks)
+		h.Topology = h.Routed()
 
 		if h.N != racks*rackSize+spines {
 			t.Fatalf("%s: N=%d, want %d", h.Name, h.N, racks*rackSize+spines)
@@ -140,6 +148,106 @@ func TestRackSpineProperty(t *testing.T) {
 		if got := h.MaxDegree(); got != want {
 			t.Fatalf("%s: MaxDegree=%d, manual count says %d", h.Name, got, want)
 		}
+	}
+}
+
+// checkRoutes verifies every ordered pair of topo against the reference
+// BFS: hop counts and neighbor lists match; following next hops from a
+// reaches b in exactly HopCount(a, b) steps, each over a real edge; and
+// every next hop is the earliest-inserted neighbor of the current node
+// that lies on a shortest path to b (the tie-break the switches forward
+// by).
+func checkRoutes(t *testing.T, topo Topology) {
+	t.Helper()
+	adj := refAdjacency(topo)
+	dist := refDistances(topo)
+	routes := topo.Routes()
+	edge := make(map[[2]int]bool)
+	for _, e := range topo.Edges {
+		edge[[2]int{int(e[0]), int(e[1])}] = true
+		edge[[2]int{int(e[1]), int(e[0])}] = true
+	}
+	for a := 0; a < topo.N; a++ {
+		nbs := topo.NeighborsOf(NodeID(a))
+		if len(nbs) != len(adj[a]) {
+			t.Fatalf("%s: NeighborsOf(%d)=%v, reference %v", topo.Name, a, nbs, adj[a])
+		}
+		for i, nb := range nbs {
+			if int(nb) != adj[a][i] {
+				t.Fatalf("%s: NeighborsOf(%d)=%v, reference %v", topo.Name, a, nbs, adj[a])
+			}
+		}
+		for b := 0; b < topo.N; b++ {
+			if got := topo.HopCount(NodeID(a), NodeID(b)); got != dist[a][b] {
+				t.Fatalf("%s: HopCount(%d,%d)=%d, reference BFS says %d", topo.Name, a, b, got, dist[a][b])
+			}
+			if _, ok := routes.NextHop(NodeID(a), NodeID(b)); ok != (a != b) {
+				t.Fatalf("%s: NextHop(%d,%d) ok=%v", topo.Name, a, b, ok)
+			}
+			steps := 0
+			for cur := a; cur != b; steps++ {
+				if steps == topo.N {
+					t.Fatalf("%s: next hops %d->%d loop", topo.Name, a, b)
+				}
+				nxt, _ := routes.NextHop(NodeID(cur), NodeID(b))
+				if !edge[[2]int{cur, int(nxt)}] {
+					t.Fatalf("%s: next hop %d->%v toward %d is not an edge", topo.Name, cur, nxt, b)
+				}
+				want := -1
+				for _, nb := range adj[cur] {
+					if dist[nb][b] == dist[cur][b]-1 {
+						want = nb
+						break
+					}
+				}
+				if int(nxt) != want {
+					t.Fatalf("%s: next hop %d->%d is %v, want earliest shortest-path neighbor %d",
+						topo.Name, cur, b, nxt, want)
+				}
+				cur = int(nxt)
+			}
+			if steps != dist[a][b] {
+				t.Fatalf("%s: next hops reach %d from %d in %d steps, HopCount %d", topo.Name, b, a, steps, dist[a][b])
+			}
+		}
+	}
+}
+
+// TestRoutesMatchReference runs checkRoutes over every standard
+// topology, routed once as a Network would.
+func TestRoutesMatchReference(t *testing.T) {
+	for _, topo := range []Topology{
+		Pair(), Line(6), Star(7), FullMesh(5),
+		Mesh3D(2, 2, 2), Mesh3D(3, 2, 2), Mesh3D(4, 3, 2),
+		RackSpine(3, 2, 2, 1, 2, 2).Topology,
+		RackSpine(4, 2, 2, 2, 3, 5).Topology,
+	} {
+		checkRoutes(t, topo.Routed())
+	}
+}
+
+// TestUnroutedTopologyRoutesOnDemand: a Topology literal carries no
+// route table, yet answers every query exactly as its routed copy does.
+func TestUnroutedTopologyRoutesOnDemand(t *testing.T) {
+	lit := Topology{Name: "ring-with-chord", N: 6, Edges: [][2]NodeID{
+		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
+	}}
+	checkRoutes(t, lit)
+	routed := lit.Routed()
+	for a := NodeID(0); int(a) < lit.N; a++ {
+		for b := NodeID(0); int(b) < lit.N; b++ {
+			if lit.HopCount(a, b) != routed.HopCount(a, b) {
+				t.Fatalf("HopCount(%v,%v): unrouted %d, routed %d", a, b, lit.HopCount(a, b), routed.HopCount(a, b))
+			}
+			n1, ok1 := lit.Routes().NextHop(a, b)
+			n2, ok2 := routed.Routes().NextHop(a, b)
+			if n1 != n2 || ok1 != ok2 {
+				t.Fatalf("NextHop(%v,%v): unrouted %v,%v, routed %v,%v", a, b, n1, ok1, n2, ok2)
+			}
+		}
+	}
+	if routed.Routes() != routed.Routes() {
+		t.Fatal("a routed Topology rebuilt its table")
 	}
 }
 

@@ -27,7 +27,13 @@ type Network struct {
 
 // NewNetwork builds the fabric for a topology. Per-node delivery handlers
 // must be registered with SetDelivery before traffic flows to that node.
+// Topo holds topo routed (see Topology.Routed): the switches forward by
+// that table, and consumers handed Topo share it.
 func NewNetwork(eng *sim.Engine, p *sim.Params, topo Topology, rng *sim.RNG) *Network {
+	topo = topo.Routed()
+	if a, b, ok := topo.routes.unreachable(); ok {
+		panic(fmt.Sprintf("fabric: topology %s is disconnected (no path %d->%d)", topo.Name, a, b))
+	}
 	n := &Network{
 		Eng:   eng,
 		P:     p,
@@ -36,15 +42,13 @@ func NewNetwork(eng *sim.Engine, p *sim.Params, topo Topology, rng *sim.RNG) *Ne
 		rng:   rng,
 	}
 	for i := 0; i < topo.N; i++ {
-		n.switches = append(n.switches, newSwitch(eng, p, NodeID(i)))
+		n.switches = append(n.switches, newSwitch(eng, p, NodeID(i), topo.routes.next[i*topo.N:(i+1)*topo.N]))
 	}
 	for _, e := range topo.Edges {
 		n.connect(e[0], e[1])
 		n.connect(e[1], e[0])
 	}
-	tables := topo.shortestNextHops()
-	for i, s := range n.switches {
-		s.routes = tables[i]
+	for _, s := range n.switches {
 		if s.Degree() > p.LinkPorts {
 			panic(fmt.Sprintf("fabric: node %v needs %d ports, switch has %d",
 				s.id, s.Degree(), p.LinkPorts))

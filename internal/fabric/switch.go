@@ -18,11 +18,13 @@ type Switch struct {
 	eng *sim.Engine
 	p   *sim.Params
 
-	id     NodeID
-	lat    sim.Dur
-	ports  map[NodeID]*Link // neighbor -> outgoing link
-	routes map[NodeID]NodeID
-	local  DeliverFunc
+	id    NodeID
+	lat   sim.Dur
+	ports map[NodeID]*Link // neighbor -> outgoing link
+	// next is this node's row of the network's route table: next[dst]
+	// is the first hop toward dst.
+	next  []NodeID
+	local DeliverFunc
 
 	// Extra per-direction latency modeling interface placement: zero for
 	// on-chip interface logic, Params.OffChipCrossing when the Venice
@@ -41,14 +43,14 @@ type Switch struct {
 	dropped   int64
 }
 
-func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID) *Switch {
+func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID, next []NodeID) *Switch {
 	return &Switch{
-		eng:    eng,
-		p:      p,
-		id:     id,
-		lat:    p.SwitchLat,
-		ports:  make(map[NodeID]*Link),
-		routes: make(map[NodeID]NodeID),
+		eng:   eng,
+		p:     p,
+		id:    id,
+		lat:   p.SwitchLat,
+		ports: make(map[NodeID]*Link),
+		next:  next,
 	}
 }
 
@@ -131,10 +133,12 @@ func (s *Switch) route(pkt *Packet) {
 		deliver()
 		return
 	}
-	next, ok := s.routes[pkt.Dst]
-	if !ok {
+	// NewNetwork refuses disconnected topologies, so every in-range
+	// destination has a first hop.
+	if pkt.Dst < 0 || int(pkt.Dst) >= len(s.next) {
 		panic(fmt.Sprintf("fabric: node %v has no route to %v", s.id, pkt.Dst))
 	}
+	next := s.next[pkt.Dst]
 	link, ok := s.ports[next]
 	if !ok {
 		panic(fmt.Sprintf("fabric: node %v has no port toward %v", s.id, next))

@@ -4,10 +4,18 @@ import "fmt"
 
 // Topology describes which node pairs have direct links. Links are
 // created in both directions for every adjacency.
+//
+// A Topology built by Routed carries its routing table (see Routes), and
+// every copy of the value shares it. A Topology without one — a literal,
+// or a constructor's result before Routed — computes the same table on
+// demand for each route query, which is fine for small fabrics and
+// one-off queries but not for a hot path.
 type Topology struct {
 	Name  string
 	N     int
 	Edges [][2]NodeID
+
+	routes *Routes
 }
 
 // Pair returns two directly connected nodes — the configuration of the
@@ -73,10 +81,35 @@ func Mesh3D(x, y, z int) Topology {
 	return t
 }
 
+// Routed returns t carrying its routing table, building the table if t
+// has none. Build it once, before the value is copied to the consumers
+// that route by it (the network's switches, the monitors, their views,
+// the agents): every copy then reads the one shared table.
+func (t Topology) Routed() Topology {
+	if t.routes == nil {
+		t.routes = t.buildRoutes()
+	}
+	return t
+}
+
+// Routes returns t's routing table: the one Routed attached, or a
+// freshly built one when t carries none.
+func (t Topology) Routes() *Routes {
+	if t.routes != nil {
+		return t.routes
+	}
+	return t.buildRoutes()
+}
+
 // NeighborsOf reports the nodes directly connected to id, in
 // deterministic (edge-construction) order.
-func (t Topology) NeighborsOf(id NodeID) []NodeID {
-	return t.adjacency()[id]
+func (t Topology) NeighborsOf(id NodeID) []NodeID { return t.Routes().adj[id] }
+
+// HopCount reports the shortest-path hop count between a and b (-1 when
+// the topology has no path).
+func (t Topology) HopCount(a, b NodeID) int {
+	r := t.Routes()
+	return int(r.dist[int(a)*r.n+int(b)])
 }
 
 // adjacency builds neighbor lists (sorted by construction order, which is
@@ -94,25 +127,40 @@ func (t Topology) adjacency() [][]NodeID {
 	return adj
 }
 
-// shortestNextHops computes, for every source, the next hop on a shortest
-// path to every destination (BFS; ties broken by neighbor insertion
-// order, making routes deterministic).
-func (t Topology) shortestNextHops() []map[NodeID]NodeID {
-	adj := t.adjacency()
-	tables := make([]map[NodeID]NodeID, t.N)
-	for src := 0; src < t.N; src++ {
-		dist := make([]int, t.N)
-		first := make([]NodeID, t.N) // first hop from src toward index
+// Routes is a topology's routing table: the neighbor lists, the
+// shortest-path hop count between every ordered node pair, and the first
+// hop of the deterministic shortest path the switches forward along.
+// Distances and first hops live in flat N×N slices indexed a*N+b, so
+// every query is a slice read. A Routes is never written after it is
+// built, so one table is shared without locking by everything that
+// routes over a fabric, including concurrently running simulations.
+type Routes struct {
+	n    int
+	adj  [][]NodeID
+	dist []int32  // dist[a*n+b]: hops a->b; -1 when unreachable
+	next []NodeID // next[a*n+b]: first hop a->b; -1 when unreachable, a when a == b
+}
+
+// buildRoutes runs one BFS per source. Ties between equally short paths
+// go to the source's earliest-inserted neighbor (adjacency order), which
+// makes every route deterministic.
+func (t Topology) buildRoutes() *Routes {
+	n := t.N
+	r := &Routes{n: n, adj: t.adjacency(), dist: make([]int32, n*n), next: make([]NodeID, n*n)}
+	queue := make([]NodeID, 0, n)
+	for src := 0; src < n; src++ {
+		dist := r.dist[src*n : (src+1)*n]
+		first := r.next[src*n : (src+1)*n]
 		for i := range dist {
 			dist[i] = -1
+			first[i] = -1
 		}
 		dist[src] = 0
 		first[src] = NodeID(src)
-		queue := []NodeID{NodeID(src)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range adj[u] {
+		queue = append(queue[:0], NodeID(src))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range r.adj[u] {
 				if dist[v] != -1 {
 					continue
 				}
@@ -125,51 +173,24 @@ func (t Topology) shortestNextHops() []map[NodeID]NodeID {
 				queue = append(queue, v)
 			}
 		}
-		table := make(map[NodeID]NodeID)
-		for dst := 0; dst < t.N; dst++ {
-			if dst == src {
-				continue
-			}
-			if dist[dst] == -1 {
-				panic(fmt.Sprintf("fabric: topology %s is disconnected (no path %d->%d)", t.Name, src, dst))
-			}
-			table[NodeID(dst)] = first[dst]
-		}
-		tables[src] = table
 	}
-	return tables
+	return r
 }
 
-// NextHops returns, for every source node, the next hop on the
-// deterministic shortest path to every destination — the same tables
-// the switches route by, exposed so control-plane consumers (the
-// telemetry view's path-utilization walk) can reason about the links a
-// node pair's traffic actually crosses.
-func (t Topology) NextHops() []map[NodeID]NodeID {
-	return t.shortestNextHops()
+// NextHop reports the first hop of the deterministic shortest path from
+// a to b; ok is false when a == b or b is unreachable.
+func (r *Routes) NextHop(a, b NodeID) (next NodeID, ok bool) {
+	next = r.next[int(a)*r.n+int(b)]
+	return next, next >= 0 && a != b
 }
 
-// HopCount reports the shortest-path hop count between a and b.
-func (t Topology) HopCount(a, b NodeID) int {
-	if a == b {
-		return 0
-	}
-	adj := t.adjacency()
-	dist := make([]int, t.N)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[a] = 0
-	queue := []NodeID{a}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
+// unreachable reports the first ordered pair with no path between them;
+// ok is false when the topology is connected.
+func (r *Routes) unreachable() (a, b NodeID, ok bool) {
+	for i, d := range r.dist {
+		if d < 0 {
+			return NodeID(i / r.n), NodeID(i % r.n), true
 		}
 	}
-	return dist[b]
+	return 0, 0, false
 }

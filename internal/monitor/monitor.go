@@ -184,11 +184,13 @@ type Monitor struct {
 	observers leaseObservers
 }
 
-// New starts a Monitor on the given endpoint.
+// New starts a Monitor on the given endpoint. Pass the network's routed
+// topology (fabric.Network.Topo) so the MN ranks donors over the route
+// table the switches forward by; an unrouted topology gets its own.
 func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 	m := &Monitor{
 		EP:               ep,
-		Topo:             topo,
+		Topo:             topo.Routed(),
 		rrt:              make(map[fabric.NodeID]*Registration),
 		rat:              make(map[int]*Allocation),
 		tst:              make(map[[2]fabric.NodeID]*LinkStatus),

@@ -28,7 +28,6 @@ type View struct {
 
 	linkUtil map[[2]fabric.NodeID]float64
 	commits  map[[2]fabric.NodeID]int
-	routes   []map[fabric.NodeID]fabric.NodeID // lazily built next-hop tables
 }
 
 // view assembles the current telemetry snapshot from the RRT/RAT/TST.
@@ -87,12 +86,10 @@ func (v *View) PathUtil(a, b fabric.NodeID) (float64, bool) {
 	if !v.HasTelemetry || a == b {
 		return 0, false
 	}
-	if v.routes == nil {
-		v.routes = v.Topo.NextHops()
-	}
+	routes := v.Topo.Routes()
 	max, known := 0.0, false
 	for cur := a; cur != b; {
-		nxt, ok := v.routes[cur][b]
+		nxt, ok := routes.NextHop(cur, b)
 		if !ok {
 			return 0, false
 		}
@@ -113,12 +110,10 @@ func (v *View) PathLinks(a, b fabric.NodeID) [][2]fabric.NodeID {
 	if a == b {
 		return nil
 	}
-	if v.routes == nil {
-		v.routes = v.Topo.NextHops()
-	}
+	routes := v.Topo.Routes()
 	var links [][2]fabric.NodeID
 	for cur := a; cur != b; {
-		nxt, ok := v.routes[cur][b]
+		nxt, ok := routes.NextHop(cur, b)
 		if !ok {
 			return nil
 		}

@@ -239,7 +239,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		donors = append(donors, fabric.NodeID(i))
 	}
 	sort.Slice(donors, func(i, j int) bool {
-		hi, hj := topo.HopCount(1, donors[i]), topo.HopCount(1, donors[j])
+		hi, hj := cl.Net.Topo.HopCount(1, donors[i]), cl.Net.Topo.HopCount(1, donors[j])
 		if hi != hj {
 			return hi < hj
 		}

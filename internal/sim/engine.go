@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Handle identifies a cancelable scheduled event. The zero Handle is
 // never issued, so it can mark "no timer pending".
@@ -25,6 +28,14 @@ type Engine struct {
 	live    int // processes started and not yet finished
 	parked  int // processes currently blocked awaiting a wakeup
 	fired   uint64
+
+	// unwind serializes the processes Close kills: each holds it from
+	// the moment it sees stopped until its goroutine exits, so their
+	// deferred cleanups never touch shared simulation state at once.
+	unwind sync.Mutex
+	// running counts process goroutines that have not exited; Close
+	// waits for it to drain.
+	running sync.WaitGroup
 }
 
 // New returns a fresh engine with virtual time zero and an empty queue.
@@ -165,16 +176,19 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Dur) { e.RunUntil(e.now.Add(d)) }
 
-// Close terminates any parked processes so their goroutines exit. It is
-// safe to call multiple times. After Close the engine must not be used.
+// Close terminates any parked processes and returns once their
+// goroutines have exited, so nothing of the simulation outlives it. It
+// is safe to call multiple times, but not from inside a process. After
+// Close the engine must not be used.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
+	// Killed processes need no baton: park() and waitBaton() select on
+	// stopped, and unwind one at a time under e.unwind.
 	close(e.stopped)
-	// Give killed goroutines a chance to observe the close; they need no
-	// baton because park() selects on stopped.
+	e.running.Wait()
 }
 
 // resume hands the execution baton to process p and blocks until p parks

@@ -13,6 +13,8 @@ type Proc struct {
 	wake   chan struct{}
 	wakeFn func() // cached resume thunk: one closure per proc, not per park
 	dead   bool
+	// unwinding is set once the process holds Eng.unwind after Close.
+	unwinding bool
 }
 
 // procStopped is the panic payload used to unwind a process killed by
@@ -35,10 +37,15 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
 	p.wakeFn = func() { e.resume(p) }
 	e.live++
 	e.Schedule(0, func() {
+		e.running.Add(1)
 		go func() {
+			defer e.running.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(procStopped); ok {
+						if p.unwinding {
+							e.unwind.Unlock()
+						}
 						return // engine shut down; exit silently
 					}
 					panic(r)
@@ -58,7 +65,18 @@ func (p *Proc) waitBaton() {
 	select {
 	case <-p.wake:
 	case <-p.Eng.stopped:
+		p.beginUnwind()
 		panic(procStopped{})
+	}
+}
+
+// beginUnwind takes the engine's unwind lock before a killed process
+// unwinds. A deferred cleanup that parks again while unwinding lands
+// here a second time and must not relock.
+func (p *Proc) beginUnwind() {
+	if !p.unwinding {
+		p.unwinding = true
+		p.Eng.unwind.Lock()
 	}
 }
 
@@ -70,6 +88,7 @@ func (p *Proc) park() {
 	select {
 	case e.yield <- struct{}{}:
 	case <-e.stopped:
+		p.beginUnwind()
 		e.parked--
 		panic(procStopped{})
 	}

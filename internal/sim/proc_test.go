@@ -130,6 +130,33 @@ func TestEngineCloseReleasesParkedProcs(t *testing.T) {
 	e.Close() // safe to double-close
 }
 
+// TestEngineCloseUnwindsProcsOneAtATime: Close kills every parked
+// process, and their deferred cleanups write shared simulation state
+// without locks, so the unwinds must not overlap (the race detector
+// flags this test otherwise) and must all be done when Close returns. A
+// cleanup that parks again while unwinding must not wedge the others.
+func TestEngineCloseUnwindsProcsOneAtATime(t *testing.T) {
+	e := New()
+	never := NewCompletion(e)
+	cleanups := 0
+	for i := 0; i < 8; i++ {
+		e.Go("parked", func(p *Proc) {
+			defer func() { cleanups++ }()
+			defer func() {
+				if i%2 == 0 {
+					p.Sleep(1) // parks again mid-unwind
+				}
+			}()
+			p.Await(never)
+		})
+	}
+	e.Run()
+	e.Close()
+	if cleanups != 8 {
+		t.Fatalf("%d of 8 cleanups ran before Close returned", cleanups)
+	}
+}
+
 func TestProcNegativeSleepPanics(t *testing.T) {
 	e := New()
 	defer e.Close()
