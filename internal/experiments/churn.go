@@ -19,21 +19,14 @@ import (
 // the cell's (chaos draws from a fixed internal seed), so shard
 // histograms merge exactly and any -parallel renders identical bytes.
 
-// churnCell is one cell of the sweep.
-type churnCell struct {
-	ID     string
-	Cfg    serving.ChurnConfig
-	Shards int
-}
-
 const (
 	churnShardSeed     = 9100
 	churnRequests      = 1500
 	churnSmokeRequests = 800
 )
 
-func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, requests, shards int) churnCell {
-	return churnCell{
+func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, requests, shards int) cell[serving.ChurnConfig] {
+	return cell[serving.ChurnConfig]{
 		ID: fmt.Sprintf("churn/%s/n%d/%s", label, nodes, fault),
 		Cfg: serving.ChurnConfig{Nodes: nodes, Util: 0.7, Requests: requests,
 			Policy: policy, Fault: fault},
@@ -44,8 +37,8 @@ func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, reque
 // churnCellsFull is the registered sweep: mesh size × fault rate under
 // the prototype's distance policy, plus the policy axis at the hardest
 // point.
-func churnCellsFull() []churnCell {
-	var cells []churnCell
+func churnCellsFull() []cell[serving.ChurnConfig] {
+	var cells []cell[serving.ChurnConfig]
 	for _, nodes := range []int{4, 8} {
 		for _, fault := range []serving.FaultRate{serving.FaultNone, serving.FaultSlow, serving.FaultFast} {
 			cells = append(cells, churnCellOf("distance", "distance", nodes, fault, churnRequests, 2))
@@ -64,8 +57,8 @@ func churnCellsFull() []churnCell {
 
 // churnCellsShort is the reduced matrix the tests use: the control, the
 // cliff, and the scale-out comparison, with one multi-shard cell.
-func churnCellsShort() []churnCell {
-	return []churnCell{
+func churnCellsShort() []cell[serving.ChurnConfig] {
+	return []cell[serving.ChurnConfig]{
 		churnCellOf("distance", "distance", 4, serving.FaultNone, churnRequests, 1),
 		churnCellOf("distance", "distance", 4, serving.FaultFast, churnRequests, 2),
 		churnCellOf("distance", "distance", 8, serving.FaultFast, churnRequests, 1),
@@ -75,63 +68,34 @@ func churnCellsShort() []churnCell {
 // churnSmokeCells is the pinned single-cell subset the bench-regression
 // CI gate regenerates on every push — deliberately a faulted cell, so
 // the gate exercises detection, failover, and replay, not just serving.
-func churnSmokeCells() []churnCell {
+func churnSmokeCells() []cell[serving.ChurnConfig] {
 	c := churnCellOf("distance", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	c.ID = "churn-smoke/n4/fast"
-	return []churnCell{c}
+	return []cell[serving.ChurnConfig]{c}
 }
 
-// churnTrial adapts one shard of one cell into a harness trial body.
-func churnTrial(cfg serving.ChurnConfig) func(uint64) (harness.Values, error) {
-	return func(seed uint64) (harness.Values, error) {
-		c := cfg
-		c.Seed = seed
-		r, err := serving.RunChurn(c)
-		if err != nil {
-			return nil, err
-		}
-		v := harness.Values{
-			"offered_rps":     r.OfferedRPS,
-			"achieved_rps":    r.AchievedRPS,
-			"goodput_rps":     r.GoodputRPS,
-			"svc_ns":          r.ServiceNS,
-			"failed":          float64(r.Failed),
-			"requests":        float64(cfg.Requests),
-			"unavail_ns":      float64(r.UnavailNS),
-			"crashes":         float64(r.Crashes),
-			"recoveries":      float64(r.Recoveries),
-			"recover_mean_ns": r.RecoverMeanNS,
-			"dead_accesses":   float64(r.DeadAccesses),
-			"lat_sum":         float64(r.Lat.Sum()),
-			"lat_min":         float64(r.Lat.Min()),
-			"lat_max":         float64(r.Lat.Max()),
-		}
-		for _, b := range r.Lat.Buckets() {
-			v[fmt.Sprintf("lat_b%03d", b.Index)] = float64(b.Count)
-		}
-		return v, nil
+// churnTrial runs one shard of a cell.
+func churnTrial(cfg serving.ChurnConfig, seed uint64) (harness.Values, error) {
+	cfg.Seed = seed
+	r, err := serving.RunChurn(cfg)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// churnSpec decomposes a cell list into shard trials.
-func churnSpec(title string, cells []churnCell) harness.Spec {
-	var trials []harness.Trial
-	for _, cell := range cells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: churnShardSeed + uint64(s),
-				Run:  churnTrial(cell.Cfg),
-			})
-		}
+	v := harness.Values{
+		"offered_rps":     r.OfferedRPS,
+		"achieved_rps":    r.AchievedRPS,
+		"goodput_rps":     r.GoodputRPS,
+		"svc_ns":          r.ServiceNS,
+		"failed":          float64(r.Failed),
+		"requests":        float64(cfg.Requests),
+		"unavail_ns":      float64(r.UnavailNS),
+		"crashes":         float64(r.Crashes),
+		"recoveries":      float64(r.Recoveries),
+		"recover_mean_ns": r.RecoverMeanNS,
+		"dead_accesses":   float64(r.DeadAccesses),
 	}
-	return harness.Spec{
-		Title:  title,
-		Trials: trials,
-		Assemble: func(r *harness.Result) (harness.Artifact, error) {
-			return assembleChurn(r, cells)
-		},
-	}
+	putHist(v, "", r.Lat)
+	return v, nil
 }
 
 // ChurnCellResult is one assembled sweep cell.
@@ -152,45 +116,24 @@ type ChurnCellResult struct {
 }
 
 // ChurnResult is the assembled sweep.
-type ChurnResult struct {
-	Cells []ChurnCellResult
-	Table Table
-}
+type ChurnResult = Sweep[ChurnCellResult]
 
-// Cell returns a cell by id, or nil.
-func (r *ChurnResult) Cell(id string) *ChurnCellResult {
-	for i := range r.Cells {
-		if r.Cells[i].ID == id {
-			return &r.Cells[i]
+// churnFamily is the churn sweep's plumbing: each cell merges its shard
+// histograms exactly and folds the scalar metrics.
+var churnFamily = family[serving.ChurnConfig, ChurnCellResult]{
+	shardSeed: churnShardSeed,
+	title:     "Serving churn — availability under donor crash/restart (open-loop, SLO deadline 50x service)",
+	columns: []string{"cell", "offered rps", "goodput rps", "failed", "unavail",
+		"crashes", "recov", "recov mean", "p50", "p99", "p999"},
+	trial: churnTrial,
+	fold: func(r *harness.Result, cell cell[serving.ChurnConfig], shards []string) (ChurnCellResult, error) {
+		merged, err := mergedHist(r, shards, "")
+		if err != nil {
+			return ChurnCellResult{}, err
 		}
-	}
-	return nil
-}
-
-// String renders the sweep table.
-func (r *ChurnResult) String() string { return r.Table.String() }
-
-// assembleChurn merges each cell's shard histograms exactly and folds
-// the scalar metrics.
-func assembleChurn(r *harness.Result, cells []churnCell) (harness.Artifact, error) {
-	res := &ChurnResult{
-		Table: Table{
-			Title: "Serving churn — availability under donor crash/restart (open-loop, SLO deadline 50x service)",
-			Columns: []string{"cell", "offered rps", "goodput rps", "failed", "unavail",
-				"crashes", "recov", "recov mean", "p50", "p99", "p999"},
-		},
-	}
-	for _, cell := range cells {
-		merged := &sim.LatencyHist{}
 		var goodput, failed, requests, unavail, recovWeighted float64
 		var crashes, recoveries int64
-		for s := 0; s < cell.Shards; s++ {
-			trial := fmt.Sprintf("%s/s%d", cell.ID, s)
-			h, err := servingHist(r, trial)
-			if err != nil {
-				return nil, err
-			}
-			merged.Merge(h)
+		for _, trial := range shards {
 			goodput += r.Val(trial, "goodput_rps")
 			failed += r.Val(trial, "failed")
 			requests += r.Val(trial, "requests")
@@ -208,7 +151,7 @@ func assembleChurn(r *harness.Result, cells []churnCell) (harness.Artifact, erro
 		c := ChurnCellResult{
 			ID:         cell.ID,
 			Fault:      cell.Cfg.Fault,
-			OfferedRPS: r.Val(fmt.Sprintf("%s/s0", cell.ID), "offered_rps"),
+			OfferedRPS: r.Val(shards[0], "offered_rps"),
 			GoodputRPS: goodput / n,
 			FailedFrac: failed / requests,
 			UnavailMS:  unavail / n / 1e6,
@@ -222,8 +165,10 @@ func assembleChurn(r *harness.Result, cells []churnCell) (harness.Artifact, erro
 		if recoveries > 0 {
 			c.RecoverMeanNS = recovWeighted / float64(recoveries)
 		}
-		res.Cells = append(res.Cells, c)
-		res.Table.AddRow(c.ID,
+		return c, nil
+	},
+	row: func(t *Table, c ChurnCellResult) {
+		t.AddRow(c.ID,
 			fmt.Sprintf("%.0f", c.OfferedRPS),
 			fmt.Sprintf("%.0f", c.GoodputRPS),
 			fmt.Sprintf("%.1f%%", 100*c.FailedFrac),
@@ -232,27 +177,16 @@ func assembleChurn(r *harness.Result, cells []churnCell) (harness.Artifact, erro
 			fmt.Sprintf("%d", c.Recoveries),
 			fmt.Sprintf("%.2fms", c.RecoverMeanNS/1e6),
 			c.P50.String(), c.P99.String(), c.P999.String())
-	}
-	return res, nil
-}
-
-// churnSweepSpec builds the registered full sweep.
-func churnSweepSpec() harness.Spec {
-	return churnSpec("Serving churn — mesh size × fault rate × sharing policy", churnCellsFull())
-}
-
-// churnSmokeSpec builds the registered CI-gate subset.
-func churnSmokeSpec() harness.Spec {
-	return churnSpec("Serving churn — smoke cell (bench-regression CI gate)", churnSmokeCells())
+	},
 }
 
 // ServingChurn runs the full availability-under-churn sweep.
-func ServingChurn() *ChurnResult { return runSpec("serving-churn", churnSweepSpec()).(*ChurnResult) }
+func ServingChurn() *ChurnResult { return runSweep[ChurnCellResult]("serving-churn") }
 
 // ChurnSmoke runs the single-cell CI subset.
-func ChurnSmoke() *ChurnResult { return runSpec("churn-smoke", churnSmokeSpec()).(*ChurnResult) }
+func ChurnSmoke() *ChurnResult { return runSweep[ChurnCellResult]("churn-smoke") }
 
 // churnOf runs an ad-hoc cell list (the tests' reduced matrices).
-func churnOf(cells []churnCell) *ChurnResult {
-	return runSpec("churn-subset", churnSpec("Serving churn — subset", cells)).(*ChurnResult)
+func churnOf(cells []cell[serving.ChurnConfig]) *ChurnResult {
+	return runSpec("churn-subset", churnFamily.spec("Serving churn — subset", cells)).(*ChurnResult)
 }

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/serving"
 )
 
 // churnTestCells picks the matrix by -short, like the other experiment
 // tests.
-func churnTestCells(t *testing.T) []churnCell {
+func churnTestCells(t *testing.T) []cell[serving.ChurnConfig] {
 	if testing.Short() {
 		return churnCellsShort()
 	}
@@ -72,7 +73,7 @@ func TestChurnFindings(t *testing.T) {
 // CI race job runs this test under the detector.
 func TestChurnParallelismByteIdentical(t *testing.T) {
 	cells := append(churnSmokeCells(), churnCellsShort()[1])
-	spec := churnSpec("Serving churn — byte-identity subset", cells)
+	spec := churnFamily.spec("Serving churn — byte-identity subset", cells)
 	sequential, _, err := harness.Run("churn-ident", spec, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 
 // inferOf assembles a custom cell list through the harness, like the
 // registered specs do.
-func inferOf(t *testing.T, cells []inferCell) *InferenceResult {
+func inferOf(t *testing.T, cells []cell[serving.Config]) *InferenceResult {
 	t.Helper()
-	res, _, err := harness.Run("infer-test", inferSpec("inference test subset", cells), harness.Options{Parallel: 4})
+	res, _, err := harness.Run("infer-test", inferFamily.spec("inference test subset", cells), harness.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func inferOf(t *testing.T, cells []inferCell) *InferenceResult {
 // cross-rack accelerator leases cost service time on the oversubscribed
 // spine.
 func TestInferenceFindings(t *testing.T) {
-	cells := []inferCell{
+	cells := []cell[serving.Config]{
 		inferFlatCell(8, 0.7, serving.FaultNone, 200, 1),
 		inferFlatCell(8, 0.7, serving.FaultFast, 200, 2),
 		inferHierCell(2, 0, 120, 1),
@@ -71,7 +71,7 @@ func TestInferenceFindings(t *testing.T) {
 // same bytes. The CI race job runs this test under the detector.
 func TestInferenceParallelismByteIdentical(t *testing.T) {
 	cells := append(inferSmokeCells(), inferHierCell(2, 0.5, 120, 1))
-	spec := inferSpec("Serving inference — byte-identity subset", cells)
+	spec := inferFamily.spec("Serving inference — byte-identity subset", cells)
 	sequential, _, err := harness.Run("infer-ident", spec, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/serving"
 )
 
 // servingTestCells picks the matrix by -short, like the other
 // experiment tests.
-func servingTestCells(t *testing.T) []servingCell {
+func servingTestCells(t *testing.T) []cell[serving.Config] {
 	if testing.Short() {
 		return servingCellsShort()
 	}
@@ -72,7 +73,7 @@ func TestServingFindings(t *testing.T) {
 // runs this test under the detector.
 func TestServingParallelismByteIdentical(t *testing.T) {
 	cells := append(servingSmokeCells(), servingCellsShort()[:1]...)
-	spec := servingSpec("Serving — byte-identity subset", cells)
+	spec := servingFamily.spec("Serving — byte-identity subset", cells)
 	sequential, _, err := harness.Run("serving-ident", spec, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/serving"
 )
 
 // scaleTestCells is the reduced matrix: the smoke cell plus the
 // cheapest two-rack full-cross cell, so both the delegation path and
 // the multi-shard merge stay exercised.
-func scaleTestCells() []servingCell {
+func scaleTestCells() []cell[serving.Config] {
 	extra := scaleCell(2, 8, 0)
 	extra.Cfg.Requests = scaleSmokeRequests
 	return append(scaleSmokeCells(), extra)
@@ -22,7 +23,7 @@ func scaleTestCells() []servingCell {
 // value renders the same bytes. The CI race job runs this test under
 // the detector.
 func TestScaleParallelismByteIdentical(t *testing.T) {
-	spec := servingSpec("Serving at rack scale — byte-identity subset", scaleTestCells())
+	spec := servingFamily.spec("Serving at rack scale — byte-identity subset", scaleTestCells())
 	sequential, _, err := harness.Run("scale-ident", spec, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 
 // tenancyOf assembles a custom cell list through the harness, like the
 // registered specs do.
-func tenancyOf(t *testing.T, cells []tenancyCell) *TenancyResult {
+func tenancyOf(t *testing.T, cells []cell[serving.TenancyConfig]) *TenancyResult {
 	t.Helper()
-	res, _, err := harness.Run("tenancy-test", tenancySpec("tenancy test subset", cells), harness.Options{Parallel: 4})
+	res, _, err := harness.Run("tenancy-test", tenancyFamily.spec("tenancy test subset", cells), harness.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func tenancyOf(t *testing.T, cells []tenancyCell) *TenancyResult {
 // while the Preemptible class absorbs the pressure as preemptions and
 // rejections.
 func TestTenancyFindings(t *testing.T) {
-	cells := []tenancyCell{tenancySweepCell(0.9, 240, 2)}
+	cells := []cell[serving.TenancyConfig]{tenancySweepCell(0.9, 240, 2)}
 	r := tenancyOf(t, cells)
 	c := r.Cell("tenancy/u090")
 	if c == nil {
@@ -72,7 +72,7 @@ func TestTenancyFindings(t *testing.T) {
 // runs this test.
 func TestTenancyParallelismByteIdentical(t *testing.T) {
 	cells := append(tenancySmokeCells(), tenancySweepCell(0.6, 120, 2))
-	spec := tenancySpec("Serving tenancy — byte-identity subset", cells)
+	spec := tenancyFamily.spec("Serving tenancy — byte-identity subset", cells)
 	sequential, _, err := harness.Run("tenancy-ident", spec, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestTenancyParallelismByteIdentical(t *testing.T) {
 // TestTenancySmokeShape pins the smoke cell's shape: the CI gate
 // regenerates exactly this spec, so its trial list must stay stable.
 func TestTenancySmokeShape(t *testing.T) {
-	spec := tenancySmokeSpec()
+	spec, _ := harness.Lookup("tenancy-smoke")
 	if len(spec.Trials) != 1 {
 		t.Fatalf("smoke spec has %d trials, want 1", len(spec.Trials))
 	}

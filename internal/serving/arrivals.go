@@ -1,19 +1,34 @@
-// Package serving is the cluster-scale serving scenario family: an
-// open-loop load generator (seeded Poisson or MMPP arrivals) drives the
-// key-value and cache-tier workloads across a multi-node Venice mesh
-// while co-located tenants lease remote memory through the Monitor
-// Node's sharing policies, and every request's end-to-end latency lands
-// in a mergeable streaming histogram. Open-loop means arrivals never
-// wait for completions — exactly the regime where oversubscribed
-// resource sharing shows up in the tail, which closed-loop batch
-// experiments (figs. 3–18) cannot observe.
+// Package serving is the cluster-scale serving scenario family:
+// open-loop requests served out of resources that co-located tenants
+// share through the Monitor Node. Open loop means arrivals never wait
+// for completions, which is exactly the regime where oversubscribed
+// resource sharing shows up in the tail; the closed-loop batch
+// experiments (figs. 3–18) cannot observe it.
 //
-// The scenarios share the methodology: KV and Tier (serving.go) on
-// single-rack meshes, churn (churn.go) adding
-// fault-schedule-driven donor crashes, and Scale (scale.go) on
-// multi-rack rack/spine fabrics where leases are brokered by the
-// sharded monitor plane and a configurable fraction of the working set
-// crosses the oversubscribed spine.
+// Every scenario runs its measured phase on one driver, openLoop
+// (openloop.go): a seeded Poisson or MMPP arrival stream (arrivals.go)
+// feeds one shared request queue, or one queue per worker, that workers
+// on the serving node drain; every served request's end-to-end latency,
+// queueing included, lands in one mergeable streaming histogram, and
+// every offered request is accounted exactly once as served or
+// rejected. The scenarios differ only in their cluster, their
+// calibration and how one request is served:
+//
+//   - KV and Tier (serving.go): the replicated key-value tier and the
+//     Redis/MySQL cache tier on single-rack meshes, Tier with
+//     co-located tenants hammering their own leased windows;
+//   - Scale (scale.go): reads from leased windows on multi-rack
+//     rack/spine fabrics, brokered by the sharded monitor plane, with a
+//     CrossFrac share crossing the oversubscribed spine;
+//   - Inference (inference.go): requests computed on leased remote
+//     accelerators and egressed over a bond of leased NICs, on flat
+//     meshes under optional donor churn or on rack/spine fabrics;
+//   - churn (churn.go): reads from leased windows while a chaos schedule
+//     rolls crashes through the donors, measured as goodput against an
+//     SLO and unavailability;
+//   - tenancy (tenancy.go): SLO-class sessions competing through the
+//     admission plane for an oversubscribed lease pool, measured per
+//     class.
 package serving
 
 import (
@@ -58,8 +73,8 @@ type ArrivalSpec struct {
 // MMPP whose bursty state runs at 8× the mean rate for ~10% of the
 // time with 500 µs mean dwells — long, hard spikes against a
 // correspondingly quieter baseline (quiet-state rate ≈ 0.22× mean),
-// the diurnal-peak/viral-event shape the tenancy and churn scenarios
-// stress admission control with. Override any field after calling for
+// the diurnal-peak/viral-event shape the tenancy scenario stresses
+// admission control with. Override any field after calling for
 // a sharper or gentler crowd; the zero fields keep their documented
 // ArrivalSpec defaults.
 func FlashCrowd() ArrivalSpec {

@@ -40,22 +40,13 @@ type ChurnConfig struct {
 	Nodes int
 	// Util is offered load as a fraction of calibrated capacity.
 	Util float64
-	// Requests is the number of measured open-loop requests.
+	// Requests is the number of measured open-loop requests (Poisson
+	// arrivals).
 	Requests int
-	// Workers is the app-server dispatch concurrency (default 2).
-	Workers int
-	// Leases is how many remote-memory windows the server spreads its
-	// working set over (default 2; each is placed independently by the
-	// policy, so they can land on different donors).
-	Leases int
 	// Policy names the MN sharing policy ("" = distance-first).
 	Policy string
 	// Fault selects the churn intensity (default FaultNone).
 	Fault FaultRate
-	// Arrivals shapes the open-loop arrival process. The zero value is
-	// the historical Poisson stream (byte-identical results); set
-	// FlashCrowd() to drive churn through hard bursts instead.
-	Arrivals ArrivalSpec
 	// SparePool pre-plugs one lease-sized spare region per donor: the
 	// carve's hot-remove happens when the pool fills (off the serving
 	// path), so a failover's replacement grant skips the ~2 ms hot-plug
@@ -80,7 +71,7 @@ type ChurnConfig struct {
 	// clock and to publish state snapshots at a safe point.
 	Throttle func()
 	// Observe, when set, receives every measured request's end-to-end
-	// latency as it completes (in addition to the shard histograms).
+	// latency as it completes (it is also recorded in ChurnResult.Lat).
 	Observe func(sim.Dur)
 }
 
@@ -128,11 +119,14 @@ const (
 	churnChaosSeed   = 2122
 	churnCalSeed     = 2123
 
+	churnLeases     = 2 // windows the working set spreads over, each placed independently
 	churnLeaseBytes = uint64(8 << 20)
 	churnReadBytes  = 2048
 	churnThink      = 20 * sim.Microsecond
 	churnCalibrate  = 48
 
+	// The fast control plane of the flat churn rig (churn and flat
+	// inference), so failure detection resolves within a rolling outage.
 	churnBeatInterval = 100 * sim.Microsecond
 	churnBeatTimeout  = 500 * sim.Microsecond
 	churnSweep        = 250 * sim.Microsecond
@@ -147,58 +141,42 @@ const (
 	churnStallMult    = 20 // unavailability threshold, multiples of mean service
 )
 
-// churnRequest is one queued unit of offered load.
-type churnRequest struct {
-	arrived sim.Time
-	lease   int
-	off     uint64
-	close   bool
+// churnRig is the flat cluster the churn and flat inference scenarios
+// share: the MN on node 0 (reserved out of donation), the app server on
+// node 1, every other node a donor, the fast control plane, and a chaos
+// injector that rolls crashes through the donors at the fault rate.
+type churnRig struct {
+	cl        *core.Cluster
+	donors    []fabric.NodeID // nearest-to-server first
+	inj       *chaos.Injector
+	period    sim.Dur // per-donor crash period; 0 = no faults
+	chaosSeed uint64
 }
 
-// RunChurn executes one availability-under-churn scenario.
-func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
-	if cfg.Requests <= 0 {
-		return nil, fmt.Errorf("serving: Requests must be positive, got %d", cfg.Requests)
-	}
-	if cfg.Util <= 0 {
-		return nil, fmt.Errorf("serving: Util must be positive, got %v", cfg.Util)
-	}
-	pol, ok := monitor.PolicyByName(cfg.Policy)
+// newChurnRig builds the rig on a nodes-node mesh (0 means 8) with the
+// named sharing policy. spares > 0 pre-plugs that many lease-sized spare
+// regions per donor. The caller closes the cluster and warms it up.
+func newChurnRig(nodes int, policy string, fault FaultRate, seed, chaosSeed uint64, spares int) (*churnRig, error) {
+	pol, ok := monitor.PolicyByName(policy)
 	if !ok {
-		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
-	}
-	if err := cfg.Arrivals.validate(); err != nil {
-		return nil, err
-	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	if nodes < 4 {
-		return nil, fmt.Errorf("serving: churn needs >= 4 nodes (MN + server + two donors), got %d", nodes)
+		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", policy, monitor.PolicyNames())
 	}
 	topo, err := topoFor(nodes)
 	if err != nil {
 		return nil, err
 	}
-	var period sim.Dur
-	switch cfg.Fault {
+	if topo.N < 4 {
+		return nil, fmt.Errorf("serving: churn rig needs >= 4 nodes (MN + server + two donors), got %d", topo.N)
+	}
+	rig := &churnRig{chaosSeed: chaosSeed}
+	switch fault {
 	case "", FaultNone:
-		period = 0
 	case FaultSlow:
-		period = churnSlowPeriod
+		rig.period = churnSlowPeriod
 	case FaultFast:
-		period = churnFastPeriod
+		rig.period = churnFastPeriod
 	default:
-		return nil, fmt.Errorf("serving: unknown fault rate %q", cfg.Fault)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
-	}
-	leases := cfg.Leases
-	if leases <= 0 {
-		leases = 2
+		return nil, fmt.Errorf("serving: unknown fault rate %q", fault)
 	}
 
 	ccfg := core.Config{
@@ -208,55 +186,101 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		HeartbeatInterval: churnBeatInterval,
 		HeartbeatTimeout:  churnBeatTimeout,
 		SweepInterval:     churnSweep,
-		Seed:              churnClusterSeed,
+		Seed:              seed,
 	}
-	if cfg.SparePool {
-		// One spare per lease the server holds: a crashed donor can back
-		// every lease it carried, so no failover in the burst goes cold.
+	if spares > 0 {
 		ccfg.SpareRegionBytes = churnLeaseBytes
-		ccfg.SparesPerDonor = leases
+		ccfg.SparesPerDonor = spares
 	}
-	cl := core.NewCluster(ccfg)
-	defer cl.Close()
-	cl.MN.Policy = pol
+	rig.cl = core.NewCluster(ccfg)
+	rig.cl.MN.Policy = pol
 	// The MN must never be elected donor: its death model (and the
 	// paper's un-replicated MN) is out of scope, and crashing a lease
 	// donor must not take the control plane with it.
-	if err := cl.Node(0).MemMgr.Reserve(cl.Node(0).MemMgr.Idle()); err != nil {
+	mn := rig.cl.Node(0).MemMgr
+	if err := mn.Reserve(mn.Idle()); err != nil {
+		rig.cl.Close()
 		return nil, fmt.Errorf("serving: reserving MN memory: %w", err)
-	}
-	cl.RunFor(10 * sim.Millisecond) // populate the RRT
-	if cfg.OnCluster != nil {
-		cfg.OnCluster(cl)
 	}
 
 	// Donor population: every node but the MN (0) and the server (1),
 	// ordered nearest-to-server first. Rolling churn walks this order, so
 	// the early crashes hit the donors the distance-leaning policies
 	// favor — the cell measures failover, not crashes of idle bystanders.
-	var donors []fabric.NodeID
-	for i := 2; i < nodes; i++ {
-		donors = append(donors, fabric.NodeID(i))
+	for i := 2; i < topo.N; i++ {
+		rig.donors = append(rig.donors, fabric.NodeID(i))
 	}
-	sort.Slice(donors, func(i, j int) bool {
-		hi, hj := cl.Net.Topo.HopCount(1, donors[i]), cl.Net.Topo.HopCount(1, donors[j])
+	sort.Slice(rig.donors, func(i, j int) bool {
+		hi, hj := rig.cl.Net.Topo.HopCount(1, rig.donors[i]), rig.cl.Net.Topo.HopCount(1, rig.donors[j])
 		if hi != hj {
 			return hi < hj
 		}
-		return donors[i] < donors[j]
+		return rig.donors[i] < rig.donors[j]
 	})
-	inj := chaos.New(cl.Eng, cl.Net, cl.Agents)
+	rig.inj = chaos.New(rig.cl.Eng, rig.cl.Net, rig.cl.Agents)
+	return rig, nil
+}
+
+// startChaos installs the rolling-crash schedule once calibration is
+// done, so calibration is identical across the fault axis. It schedules
+// enough cycles to cover the expected measured window (requests at
+// rps); the instants derive from the rig's fixed chaos seed, so every
+// shard of a cell sees the same fault history.
+func (r *churnRig) startChaos(requests int, rps float64) error {
+	if r.period == 0 {
+		return nil
+	}
+	windowNS := float64(requests) / rps * 1e9
+	cycles := int(windowNS/float64(r.period)) + 2
+	n, err := r.inj.Install(chaos.Schedule{
+		Seed:    r.chaosSeed,
+		Actions: chaos.Rolling(r.donors, r.period, churnOutage, cycles),
+	})
+	if err != nil || n == 0 {
+		return fmt.Errorf("serving: installing churn schedule (%d actions): %v", n, err)
+	}
+	return nil
+}
+
+// crashes reports the injected donor crashes.
+func (r *churnRig) crashes() int64 { return r.inj.Stats.Get(string(chaos.NodeDown)) }
+
+// churnRequest is one read of the leased working set.
+type churnRequest struct {
+	lease int
+	off   uint64
+}
+
+// RunChurn executes one availability-under-churn scenario.
+func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
+	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
+		return nil, err
+	}
+	spares := 0
+	if cfg.SparePool {
+		// One spare per lease the server holds: a crashed donor can back
+		// every lease it carried, so no failover in the burst goes cold.
+		spares = churnLeases
+	}
+	rig, err := newChurnRig(cfg.Nodes, cfg.Policy, cfg.Fault, churnClusterSeed, churnChaosSeed, spares)
+	if err != nil {
+		return nil, err
+	}
+	cl := rig.cl
+	defer cl.Close()
+	cl.RunFor(10 * sim.Millisecond) // populate the RRT
+	if cfg.OnCluster != nil {
+		cfg.OnCluster(cl)
+	}
 
 	app := cl.Node(1)
 	res := &ChurnResult{}
-	var runErr error
-	done := app.Run("serving-churn", func(pr *sim.Proc) {
-		ls, err := borrowWindows(pr, cl, leases, func(int) core.Request {
+	err = runScenario(app, "churn", cfg.Throttle, func(pr *sim.Proc) error {
+		ls, err := borrowWindows(pr, cl, churnLeases, func(int) core.Request {
 			return core.NewRequest(core.Memory, app, churnLeaseBytes)
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: churn leases: %w", err)
-			return
+			return fmt.Errorf("serving: churn leases: %w", err)
 		}
 
 		// Closed-loop calibration under healthy conditions: the mean
@@ -270,120 +294,64 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			pr.Sleep(churnThink)
 		}
 		res.ServiceNS = float64(pr.Now().Sub(t0)) / churnCalibrate
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.OfferedRPS = cfg.Util * float64(servingWorkers) / res.ServiceNS * 1e9
 		res.Deadline = sim.Dur(churnDeadlineMult * res.ServiceNS)
 		stallThresh := sim.Dur(churnStallMult * res.ServiceNS)
-
-		// Chaos starts only now, so calibration is identical across the
-		// fault-rate axis. The expected measured window is
-		// Requests/OfferedRPS; schedule enough rolling cycles to cover it
-		// (instants are deterministic in the internal seed — shards share
-		// one fault history).
-		if period > 0 {
-			windowNS := float64(cfg.Requests) / res.OfferedRPS * 1e9
-			cycles := int(windowNS/float64(period)) + 2
-			n, err := inj.Install(chaos.Schedule{
-				Seed:    churnChaosSeed,
-				Actions: chaos.Rolling(donors, period, churnOutage, cycles),
-			})
-			if err != nil || n == 0 {
-				runErr = fmt.Errorf("serving: installing churn schedule (%d actions): %v", n, err)
-				return
-			}
+		if err := rig.startChaos(cfg.Requests, res.OfferedRPS); err != nil {
+			return err
 		}
 
-		reqQ := sim.NewQueue[churnRequest](cl.Eng)
-		shards := make([]*sim.LatencyHist, workers)
+		offRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
 		var lastDone sim.Time
 		completed := 0
-		grp := sim.NewGroup(cl.Eng)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &sim.LatencyHist{}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("churn-worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					l := ls[req.lease]
-					app.EP.CRMA.Fill(wp, l.WindowBase+req.off, churnReadBytes)
-					wp.Sleep(churnThink)
-					d := wp.Now().Sub(req.arrived)
-					shards[w].AddDur(d)
-					if cfg.Observe != nil {
-						cfg.Observe(d)
-					}
-					if d > res.Deadline {
-						res.Failed++
-					}
-					// Unavailability: completion-gap excess over the stall
-					// threshold. lastDone is shared across workers; the
-					// engine's determinism makes the accounting exact.
-					if completed > 0 {
-						if gap := wp.Now().Sub(lastDone); gap > stallThresh {
-							res.UnavailNS += int64(gap - stallThresh)
-						}
-					}
-					if wp.Now() > lastDone {
-						lastDone = wp.Now()
-					}
-					completed++
+		st, err := openLoop[churnRequest]{
+			spawn: app.Run, name: "churn-worker", workers: servingWorkers,
+			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next: func() churnRequest {
+				li := offRng.Intn(len(ls))
+				off := offRng.Uint64n(churnLeaseBytes-churnReadBytes) &^ 63
+				return churnRequest{lease: li, off: off}
+			},
+			serve: func(wp *sim.Proc, req churnRequest) bool {
+				l := ls[req.lease]
+				app.EP.CRMA.Fill(wp, l.WindowBase+req.off, churnReadBytes)
+				wp.Sleep(churnThink)
+				return true
+			},
+			done: func(wp *sim.Proc, _ churnRequest, d sim.Dur, _ bool) {
+				if cfg.Observe != nil {
+					cfg.Observe(d)
 				}
-			})
+				if d > res.Deadline {
+					res.Failed++
+				}
+				// Unavailability: completion-gap excess over the stall
+				// threshold, across all workers.
+				if completed > 0 {
+					if gap := wp.Now().Sub(lastDone); gap > stallThresh {
+						res.UnavailNS += int64(gap - stallThresh)
+					}
+				}
+				lastDone = max(lastDone, wp.Now())
+				completed++
+			},
+		}.run(pr)
+		if err != nil {
+			return err
 		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
-		offRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			li := offRng.Intn(len(ls))
-			off := offRng.Uint64n(churnLeaseBytes-churnReadBytes) &^ 63
-			reqQ.Push(pr, churnRequest{arrived: pr.Now(), lease: li, off: off})
-		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, churnRequest{close: true})
-		}
-		grp.Wait(pr)
-
-		// Zero-loss accounting: open-loop arrivals may stall through an
-		// outage, but every one of them must complete.
-		if completed != cfg.Requests {
-			runErr = fmt.Errorf("serving: churn lost requests: %d of %d completed", completed, cfg.Requests)
-			return
-		}
-		window := lastDone.Sub(start).Seconds()
-		res.AchievedRPS = float64(completed) / window
-		res.GoodputRPS = float64(completed-res.Failed) / window
-		res.Lat = &sim.LatencyHist{}
-		for _, s := range shards {
-			res.Lat.Merge(s)
-		}
+		res.Lat = st.lat
+		res.AchievedRPS = float64(st.completed) / st.window
+		res.GoodputRPS = float64(st.completed-res.Failed) / st.window
+		return nil
 	})
-	// Step only until the scenario finishes: agents, the recovery loop,
-	// and pending chaos actions would keep the queue alive forever.
-	if cfg.Throttle == nil {
-		for !done.Done() && cl.Eng.Step() {
-		}
-	} else {
-		for !done.Done() && cl.Eng.Step() {
-			cfg.Throttle()
-		}
+	if err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: churn scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
-	}
-	res.Crashes = inj.Stats.Get(string(chaos.NodeDown))
+	res.Crashes = rig.crashes()
 	res.Recoveries = cl.MN.Stats.Get("recover.replaced")
 	if res.Recoveries > 0 {
 		res.RecoverMeanNS = float64(cl.MN.Stats.Get("recover.ns")) / float64(res.Recoveries)
 	}
-	res.DeadAccesses = cl.Node(1).EP.CRMA.Stats.DeadAccesses
+	res.DeadAccesses = app.EP.CRMA.Stats.DeadAccesses
 	return res, nil
 }

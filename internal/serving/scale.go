@@ -67,10 +67,13 @@ func scaleRackDims(rackNodes int) (x, y, z int, err error) {
 	return 0, 0, 0, fmt.Errorf("serving: unsupported rack size %d (want 8, 16, or 32)", rackNodes)
 }
 
-// runScale executes the rack-scale serving scenario.
-func runScale(cfg Config) (*Result, error) {
+// newRackCluster validates cfg's rack/spine shape and builds the
+// hierarchical cluster the scale and rack-scale inference scenarios
+// serve on: cfg.Racks racks of cfg.RackNodes-node meshes behind the
+// oversubscribed spine. The caller closes it and warms it up.
+func newRackCluster(cfg Config, seed uint64) (*core.HierCluster, error) {
 	if cfg.Racks < 2 {
-		return nil, fmt.Errorf("serving: scale workload needs >= 2 racks, got %d", cfg.Racks)
+		return nil, fmt.Errorf("serving: rack-scale workloads need >= 2 racks, got %d", cfg.Racks)
 	}
 	if cfg.CrossFrac < 0 || cfg.CrossFrac > 1 {
 		return nil, fmt.Errorf("serving: CrossFrac %v out of [0, 1]", cfg.CrossFrac)
@@ -79,43 +82,49 @@ func runScale(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cross := int(cfg.CrossFrac*scaleWindows + 0.5)
-
-	cl := core.NewHierCluster(core.HierConfig{
+	return core.NewHierCluster(core.HierConfig{
 		Racks: cfg.Racks, RackX: x, RackY: y, RackZ: z,
 		Spines: scaleSpines, Uplinks: scaleUplinks, SpineGbps: scaleSpineGbps,
-		Seed: scaleClusterSeed,
+		Seed: seed,
 		// Long periods keep the steady-state event count tractable; the
-		// warm-up run covers the staggered first beats that populate the
-		// RRTs and the root's rack registry.
+		// one-second warm-up covers the staggered first beats that
+		// populate the RRTs and the root's rack registry (and carry every
+		// donor's device advertisement up through the rack beats).
 		HeartbeatInterval: 30 * sim.Second,
 		RackBeatInterval:  30 * sim.Second,
-	})
+	}), nil
+}
+
+// rackScope pins a lease to another rack (cross) or to the requester's.
+func rackScope(cross bool) core.Option {
+	if cross {
+		return core.WithScope(monitor.ScopeRemoteRack)
+	}
+	return core.WithScope(monitor.ScopeLocalRack)
+}
+
+// runScale executes the rack-scale serving scenario.
+func runScale(cfg Config) (*Result, error) {
+	cl, err := newRackCluster(cfg, scaleClusterSeed)
+	if err != nil {
+		return nil, err
+	}
 	defer cl.Close()
 	cl.RunFor(1 * sim.Second)
+	cross := int(cfg.CrossFrac*scaleWindows + 0.5)
 
 	app := cl.Node(2) // rack 0, clear of the sub-MN/uplink nodes 0 and 1
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
-	}
 	res := &Result{}
-	var runErr error
 	stop := false
-	done := app.Run("serving-scale", func(pr *sim.Proc) {
+	err = runScenario(app, "scale", nil, func(pr *sim.Proc) error {
 		// Lease the working set: the cross-rack share is delegated by the
 		// root MN (most-idle rack election spreads consecutive windows
 		// over distinct racks), the rest is pinned rack-local.
 		windows, err := borrowWindows(pr, cl, scaleWindows, func(w int) core.Request {
-			scope := monitor.ScopeLocalRack
-			if w < cross {
-				scope = monitor.ScopeRemoteRack
-			}
-			return core.NewRequest(core.Memory, app, scaleWindowBytes, core.WithScope(scope))
+			return core.NewRequest(core.Memory, app, scaleWindowBytes, rackScope(w < cross))
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: working-set windows: %w", err)
-			return
+			return fmt.Errorf("serving: working-set windows: %w", err)
 		}
 
 		// Background tenants on every rack (nodes past the app's index,
@@ -133,15 +142,11 @@ func runScale(cfg Config) (*Result, error) {
 			}
 		}
 		tenantLeases, err := borrowWindows(pr, cl, len(tenantNodes), func(k int) core.Request {
-			scope := monitor.ScopeLocalRack
-			if k%tenantsPerRack < crossTenants {
-				scope = monitor.ScopeRemoteRack
-			}
-			return core.NewRequest(core.Memory, tenantNodes[k], scaleWindowBytes, core.WithScope(scope))
+			return core.NewRequest(core.Memory, tenantNodes[k], scaleWindowBytes,
+				rackScope(k%tenantsPerRack < crossTenants))
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: tenant windows: %w", err)
-			return
+			return fmt.Errorf("serving: tenant windows: %w", err)
 		}
 		for k, lease := range tenantLeases {
 			lease, trng := lease, tenantRng.Fork()
@@ -166,65 +171,32 @@ func runScale(cfg Config) (*Result, error) {
 			app.Mem.Think(pr, scaleThink)
 		}
 		res.ServiceNS = float64(pr.Now().Sub(t0)) / scaleCalibration
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.OfferedRPS = cfg.Util * float64(servingWorkers) / res.ServiceNS * 1e9
 
-		reqQ := sim.NewQueue[request](cl.Eng)
-		shards := make([]*sim.LatencyHist, workers)
-		var lastDone sim.Time
-		grp := sim.NewGroup(cl.Eng)
-		offRng := sim.NewRNG(cfg.Seed ^ 0xacce55)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &sim.LatencyHist{}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					lease := windows[req.key]
-					off := offRng.Uint64n(lease.Size-scaleReadBytes) &^ 63
-					app.Mem.Read(wp, lease.WindowBase+off, scaleReadBytes)
-					app.Mem.Think(wp, scaleThink)
-					shards[w].AddDur(wp.Now().Sub(req.arrived))
-					if wp.Now() > lastDone {
-						lastDone = wp.Now()
-					}
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
+		// The window is drawn at arrival, the offset within it at service.
 		winRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			reqQ.Push(pr, request{arrived: pr.Now(), key: winRng.Intn(scaleWindows)})
-		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, request{close: true})
-		}
-		grp.Wait(pr)
+		offRng := sim.NewRNG(cfg.Seed ^ 0xacce55)
+		st, err := openLoop[int]{
+			spawn: app.Run, name: "worker", workers: servingWorkers,
+			arrivals: cfg.Arrivals, rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next: func() int { return winRng.Intn(scaleWindows) },
+			serve: func(wp *sim.Proc, w int) bool {
+				lease := windows[w]
+				off := offRng.Uint64n(lease.Size-scaleReadBytes) &^ 63
+				app.Mem.Read(wp, lease.WindowBase+off, scaleReadBytes)
+				app.Mem.Think(wp, scaleThink)
+				return true
+			},
+		}.run(pr)
 		stop = true
-
-		res.AchievedRPS = float64(cfg.Requests) / lastDone.Sub(start).Seconds()
-		res.MaxQueue = reqQ.MaxDepth()
-		res.Lat = &sim.LatencyHist{}
-		for _, s := range shards {
-			res.Lat.Merge(s)
+		if err != nil {
+			return err
 		}
+		res.record(st)
+		return nil
 	})
-	// Agent and rackbeat loops keep the event queue alive forever; step
-	// only until the scenario completes.
-	for !done.Done() && cl.Eng.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: scale scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

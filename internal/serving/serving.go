@@ -52,9 +52,6 @@ type Config struct {
 	Arrivals ArrivalSpec
 	// Requests is the number of measured open-loop requests.
 	Requests int
-	// Workers is the app-server concurrency for the Tier workload
-	// (default 2). KV uses one dispatcher per data server.
-	Workers int
 	// Tenants is the number of co-located tenants on the serving node,
 	// each leasing remote memory through the Monitor Node and streaming
 	// reads through it for the scenario's duration (Tier only).
@@ -97,8 +94,8 @@ type Config struct {
 // Result is one scenario run's measurements.
 type Result struct {
 	// Lat holds every measured request's end-to-end latency (queueing
-	// included — the arrival instant to the response), merged from the
-	// per-dispatcher shard histograms.
+	// included — the arrival instant to the response), recorded by the
+	// open-loop driver as each request completes.
 	Lat *sim.LatencyHist
 	// OfferedRPS is the open-loop arrival rate (Util × calibrated
 	// capacity) in requests per second of virtual time.
@@ -167,20 +164,22 @@ const (
 	tierMigrateSettle = 4 * sim.Millisecond
 )
 
-// request is one queued unit of offered load.
-type request struct {
-	arrived sim.Time
-	key     int
-	close   bool
+// servingWorkers is the app-server concurrency of the Tier, Scale,
+// Inference and churn scenarios (KV runs one dispatcher per data server,
+// tenancy tenancyWorkers).
+const servingWorkers = 2
+
+// record fills the measured-phase fields from the open loop's accounting.
+func (r *Result) record(st loopStats) {
+	r.Lat = st.lat
+	r.AchievedRPS = float64(st.completed) / st.window
+	r.MaxQueue = st.maxQueue
 }
 
 // Run executes one serving scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Requests <= 0 {
-		return nil, fmt.Errorf("serving: Requests must be positive, got %d", cfg.Requests)
-	}
-	if cfg.Util <= 0 {
-		return nil, fmt.Errorf("serving: Util must be positive, got %v", cfg.Util)
+	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
+		return nil, err
 	}
 	if err := cfg.Arrivals.validate(); err != nil {
 		return nil, err
@@ -199,14 +198,14 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // topoFor maps a node count onto the meshes the prototype family
-// supports.
+// supports (0 means the prototype's 8-node mesh).
 func topoFor(n int) (fabric.Topology, error) {
 	switch n {
 	case 2:
 		return fabric.Pair(), nil
 	case 4:
 		return fabric.Mesh3D(2, 2, 1), nil
-	case 8:
+	case 0, 8:
 		return fabric.Mesh3D(2, 2, 2), nil
 	}
 	return fabric.Topology{}, fmt.Errorf("serving: unsupported node count %d (want 2, 4, or 8)", n)
@@ -218,11 +217,7 @@ func topoFor(n int) (fabric.Topology, error) {
 // dispatcher issues synchronous gets, so per-server queueing (and with
 // it the latency tail) emerges from the open-loop arrivals.
 func runKV(cfg Config) (*Result, error) {
-	nodeCount := cfg.Nodes
-	if nodeCount == 0 {
-		nodeCount = 8
-	}
-	topo, err := topoFor(nodeCount)
+	topo, err := topoFor(cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -237,20 +232,16 @@ func runKV(cfg Config) (*Result, error) {
 	servers := topo.N - 1
 
 	res := &Result{}
-	done := nodes[0].Run("serving-kv", func(pr *sim.Proc) {
+	err = runScenario(nodes[0], "kv", nil, func(pr *sim.Proc) error {
 		idx := workloads.BuildBTreeIndex(pr, nodes[0].Mem,
 			workloads.NewArena(0, 128<<20), workloads.NewArena(kvRecordBase, 128<<20),
 			kvKeys, kvRecordSize, kvFanout)
-		queues := make([]*sim.Queue[request], servers)
 		rkvs := make([]*workloads.RemoteKV, servers)
-		shards := make([]*sim.LatencyHist, servers)
 		for i := 0; i < servers; i++ {
 			qa, qb := transport.ConnectQPair(nodes[0].EP, nodes[i+1].EP, transport.QPairConfig{})
 			workloads.ServeKV(eng, fmt.Sprintf("kv-server-%d", i+1),
 				&workloads.DataServer{H: nodes[i+1].Mem, QP: qb, Think: kvThink})
 			rkvs[i] = &workloads.RemoteKV{Index: idx, QP: qa}
-			queues[i] = sim.NewQueue[request](eng)
-			shards[i] = &sim.LatencyHist{}
 		}
 
 		// Closed-loop calibration: the mean synchronous round trip sets
@@ -263,53 +254,28 @@ func runKV(cfg Config) (*Result, error) {
 		res.ServiceNS = float64(pr.Now().Sub(t0)) / kvCalibration
 		res.OfferedRPS = cfg.Util * float64(servers) / res.ServiceNS * 1e9
 
-		var lastDone sim.Time
-		grp := sim.NewGroup(eng)
-		for i := 0; i < servers; i++ {
-			i := i
-			grp.Add(1)
-			nodes[0].Run(fmt.Sprintf("dispatch-%d", i), func(dp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := queues[i].Pop(dp)
-					if req.close {
-						rkvs[i].Close(dp)
-						return
-					}
-					rkvs[i].Get(dp, req.key)
-					shards[i].AddDur(dp.Now().Sub(req.arrived))
-					if dp.Now() > lastDone {
-						lastDone = dp.Now()
-					}
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
 		keyRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			key := keyRng.Intn(idx.Keys())
-			queues[key%servers].Push(pr, request{arrived: pr.Now(), key: key})
+		st, err := openLoop[int]{
+			spawn: nodes[0].Run, name: "dispatch", workers: servers,
+			arrivals: cfg.Arrivals, rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next:  func() int { return keyRng.Intn(idx.Keys()) },
+			route: func(key int) int { return key % servers },
+			serve: func(dp *sim.Proc, key int) bool {
+				rkvs[key%servers].Get(dp, key)
+				return true
+			},
+		}.run(pr)
+		if err != nil {
+			return err
 		}
-		for i := 0; i < servers; i++ {
-			queues[i].Push(pr, request{close: true})
+		for _, rkv := range rkvs {
+			rkv.Close(pr)
 		}
-		grp.Wait(pr)
-
-		res.AchievedRPS = float64(cfg.Requests) / lastDone.Sub(start).Seconds()
-		res.Lat = &sim.LatencyHist{}
-		for i := range shards {
-			res.Lat.Merge(shards[i])
-			if d := queues[i].MaxDepth(); d > res.MaxQueue {
-				res.MaxQueue = d
-			}
-		}
+		res.record(st)
+		return nil
 	})
-	eng.Run()
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: kv scenario deadlocked (%d live procs)", eng.LiveProcs())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -326,16 +292,12 @@ func runTier(cfg Config) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
 	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	topo, err := topoFor(nodes)
+	topo, err := topoFor(cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	if nodes < 4 {
-		return nil, fmt.Errorf("serving: tier workload needs >= 4 nodes for donor diversity, got %d", nodes)
+	if topo.N < 4 {
+		return nil, fmt.Errorf("serving: tier workload needs >= 4 nodes for donor diversity, got %d", topo.N)
 	}
 	p := sim.Default()
 	// The baseline runs with agents effectively silent (one beat during
@@ -357,14 +319,9 @@ func runTier(cfg Config) (*Result, error) {
 	cl.RunFor(1 * sim.Second) // populate the RRT
 
 	app := cl.Node(0)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
-	}
 	res := &Result{}
-	var runErr error
 	stop := false
-	done := app.Run("serving-tier", func(pr *sim.Proc) {
+	err = runScenario(app, "tier", nil, func(pr *sim.Proc) error {
 		// Co-located tenants lease first: their windows land wherever the
 		// policy sends them, before the serving tier asks. The hammer
 		// processes start only after warm-up — pressure during the
@@ -375,8 +332,7 @@ func runTier(cfg Config) (*Result, error) {
 			return core.NewRequest(core.Memory, app, tenantLeaseBytes)
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: tenant leases: %w", err)
-			return
+			return fmt.Errorf("serving: tenant leases: %w", err)
 		}
 		startTenants := func() {
 			for t, lease := range tenantLeases {
@@ -401,9 +357,8 @@ func runTier(cfg Config) (*Result, error) {
 		lease, err := cl.Acquire(pr, core.NewRequest(core.Memory, app, tierCacheLease,
 			core.WithRetry(borrowRetry), core.WithLatencySensitive()))
 		if err != nil {
-			runErr = fmt.Errorf("serving: cache lease: %w", err)
 			stop = true
-			return
+			return fmt.Errorf("serving: cache lease: %w", err)
 		}
 		cache.AddArena(workloads.NewArena(lease.Window()))
 		db := &workloads.TierDB{
@@ -425,61 +380,27 @@ func runTier(cfg Config) (*Result, error) {
 			db.Query(pr, calZipf.Next())
 		}
 		res.ServiceNS = float64(pr.Now().Sub(t0)) / tierCalibration
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.OfferedRPS = cfg.Util * float64(servingWorkers) / res.ServiceNS * 1e9
 
-		reqQ := sim.NewQueue[request](cl.Eng)
-		shards := make([]*sim.LatencyHist, workers)
-		var lastDone sim.Time
-		grp := sim.NewGroup(cl.Eng)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &sim.LatencyHist{}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					db.Query(wp, req.key)
-					shards[w].AddDur(wp.Now().Sub(req.arrived))
-					if wp.Now() > lastDone {
-						lastDone = wp.Now()
-					}
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
 		keys := sim.NewZipf(sim.NewRNG(cfg.Seed^0x5eed), tierKeys, tierZipfTheta)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			reqQ.Push(pr, request{arrived: pr.Now(), key: keys.Next()})
-		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, request{close: true})
-		}
-		grp.Wait(pr)
+		st, err := openLoop[int]{
+			spawn: app.Run, name: "worker", workers: servingWorkers,
+			arrivals: cfg.Arrivals, rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next: keys.Next,
+			serve: func(wp *sim.Proc, key int) bool {
+				db.Query(wp, key)
+				return true
+			},
+		}.run(pr)
 		stop = true
-
-		res.AchievedRPS = float64(cfg.Requests) / lastDone.Sub(start).Seconds()
-		res.MaxQueue = reqQ.MaxDepth()
-		res.Lat = &sim.LatencyHist{}
-		for _, s := range shards {
-			res.Lat.Merge(s)
+		if err != nil {
+			return err
 		}
+		res.record(st)
+		return nil
 	})
-	// Step only until the scenario finishes: agents and tenants would
-	// otherwise keep the event queue alive forever.
-	for !done.Done() && cl.Eng.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: tier scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
