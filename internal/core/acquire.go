@@ -39,18 +39,11 @@ func (c *Cluster) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 	if err := r.validate(false); err != nil {
 		return nil, err
 	}
-	switch r.Kind {
-	case Memory:
-		return acquireMemory(p, r, c.MN.Node(), monitor.ScopeAny, false, &c.hub)
-	case Swap:
-		return acquireSwap(p, r, c.MN.Node(), monitor.ScopeAny, &c.hub)
-	case Accel:
-		return acquireAccel(p, r, c.MN.Node(), monitor.ScopeAny, c.Nodes, &c.hub)
-	case NIC:
-		return acquireNIC(p, r, c.MN.Node(), monitor.ScopeAny, c.Eng, c.P, c.Nodes, &c.hub)
-	default: // DirectMemory, DirectSwap (validate rejected the rest)
+	if r.Kind.direct() {
 		return acquireDirect(p, r, &c.hub)
 	}
+	b := broker{mn: c.MN.Node(), eng: c.Eng, params: c.P, nodes: c.Nodes, hub: &c.hub}
+	return b.acquire(p, r)
 }
 
 // Observe registers a lease-lifecycle observer with the rack-scale
@@ -82,78 +75,104 @@ func (c *HierCluster) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: recipient %v is a spine switch, not a rack member", ErrBadRequest, r.On.ID)
 	}
-	sub := c.SubNode(rack)
-	switch r.Kind {
-	case Memory:
-		return acquireMemory(p, r, sub, r.scope, r.hasScope, &c.hub)
-	case Swap:
-		return acquireSwap(p, r, sub, r.scope, &c.hub)
-	case Accel:
-		return acquireAccel(p, r, sub, r.scope, c.Nodes, &c.hub)
-	default: // NIC
-		return acquireNIC(p, r, sub, r.scope, c.Eng, c.P, c.Nodes, &c.hub)
-	}
+	b := broker{mn: c.SubNode(rack), scope: r.scope, scoped: r.hasScope,
+		eng: c.Eng, params: c.P, nodes: c.Nodes, hub: &c.hub}
+	return b.acquire(p, r)
 }
 
-// acquireMemory runs the MN-brokered remote-memory grant — the complete
-// Fig. 2 flow: pick the hot-plug window, ask mn (a flat MN or the
-// recipient's rack sub-MN), and mount the granted region over CRMA.
-func acquireMemory(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, scoped bool, hub *eventHub) (Lease, error) {
-	win := r.On.NextHotplugWindow(r.Size)
-	resp, ok := monitor.RequestMemoryOpts(p, r.On.EP, mn, r.Size, win,
-		monitor.MemReqOpts{Scope: scope, Policy: r.policy, Latency: r.latency, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
+// broker is one plane's MN-brokered acquire path: the MN (or the
+// recipient's rack sub-MN) it asks, the placement scope it asks with,
+// and the plane state the per-kind setup needs.
+type broker struct {
+	mn     fabric.NodeID
+	scope  monitor.AllocScope
+	scoped bool // the request set its scope explicitly
+	eng    *sim.Engine
+	params *sim.Params
+	nodes  []*node.Node
+	hub    *eventHub
+}
+
+// acquire runs one MN-brokered grant: ask the MN, map a timeout, an
+// admission rejection or a placement decline onto the acquire error
+// classes, then hand the grant to the kind's setup — the CRMA mount,
+// the swap device, the accelerator handle or the VNIC path.
+func (b broker) acquire(p *sim.Proc, r Request) (Lease, error) {
+	req := &monitor.AllocReq{
+		Scope: b.scope, Policy: r.policy, Latency: r.latency,
+		Trace: r.trace, Tenant: r.tenant, Class: r.class,
+	}
+	var what string
+	switch r.Kind {
+	case Memory, Swap:
+		what = fmt.Sprintf("borrow %d bytes", r.Size)
+		if r.Kind == Swap {
+			what = fmt.Sprintf("borrow swap %d bytes", r.Size)
+		}
+		// Every memory grant, swap included, gets its own recipient
+		// window: the window keys the donor agent's export and the
+		// grant's cancellation, so two leases must never share one.
+		req.Kind, req.Size, req.WindowBase = monitor.Memory, r.Size, r.On.NextHotplugWindow(r.Size)
+	case Accel:
+		what, req.Kind = "attach accelerator", monitor.DevAccelerator
+	default: // NIC
+		what, req.Kind = "attach NIC", monitor.DevNIC
+	}
+	resp, ok := monitor.Alloc(p, r.On.EP, b.mn, req, r.timeout)
 	if !ok {
-		return nil, fmt.Errorf("core: borrow %d bytes: %w", r.Size, ErrTimeout)
+		return nil, fmt.Errorf("core: %s: %w", what, ErrTimeout)
 	}
 	if !resp.OK {
 		if resp.Rejected {
-			return nil, fmt.Errorf("core: borrow %d bytes: %s: %w", r.Size, resp.Err, ErrAdmissionRejected)
+			return nil, fmt.Errorf("core: %s: %s: %w", what, resp.Err, ErrAdmissionRejected)
 		}
-		if scoped {
-			return nil, fmt.Errorf("core: borrow %d bytes (scope %d): %s: %w", r.Size, scope, resp.Err, ErrUnavailable)
+		if b.scoped {
+			what += fmt.Sprintf(" (scope %d)", b.scope)
 		}
-		return nil, fmt.Errorf("core: borrow %d bytes: %s: %w", r.Size, resp.Err, ErrUnavailable)
+		return nil, fmt.Errorf("core: %s: %s: %w", what, resp.Err, ErrUnavailable)
 	}
-	// Admission may have degraded the grant to a smaller window; the
-	// hot-plug window was sized for the full request, so the smaller
-	// region mounts at the same base with room to spare.
-	size := r.Size
+	switch r.Kind {
+	case Memory:
+		return b.mountMemory(p, r, req.WindowBase, resp)
+	case Swap:
+		return b.swapDevice(p, r, resp)
+	case Accel:
+		return b.attachAccel(p, r, resp)
+	default:
+		return b.attachNIC(p, r, resp)
+	}
+}
+
+// granted reports a memory grant's size: the request's, unless
+// admission degraded it.
+func granted(r Request, resp *monitor.AllocResp) uint64 {
 	if resp.Granted > 0 && resp.Granted < r.Size {
-		size = resp.Granted
+		return resp.Granted
 	}
+	return r.Size
+}
+
+// mountMemory completes the Fig. 2 flow for a memory grant: mount the
+// donor region over CRMA at the window the request reserved. A
+// degraded grant mounts at the same base, with room to spare.
+func (b broker) mountMemory(p *sim.Proc, r Request, win uint64, resp *monitor.AllocResp) (Lease, error) {
+	size := granted(r, resp)
 	lease, err := mountCRMA(p, r.On, resp.Donor, win, resp.DonorBase, size)
 	if err != nil {
 		// The grant committed MN-side (RAT row live, donor region
 		// hot-removed); a recipient-side mount failure must hand it back
 		// or the donor's memory leaks untracked.
-		monitor.FreeMemory(p, r.On.EP, mn, resp.AllocID)
+		monitor.Free(p, r.On.EP, b.mn, resp.AllocID)
 		return nil, err
 	}
-	lease.kind, lease.allocID, lease.mn, lease.hub, lease.trace = Memory, resp.AllocID, mn, hub, r.trace
-	emitGranted(hub, p, Memory, r.On.ID, resp.Donor, size, win, r.trace, r.tenant, r.class)
+	lease.kind, lease.allocID, lease.mn, lease.hub, lease.trace = Memory, resp.AllocID, b.mn, b.hub, r.trace
+	emitGranted(b.hub, p, Memory, r.On.ID, resp.Donor, size, win, r.trace, r.tenant, r.class)
 	return lease, nil
 }
 
-// acquireSwap obtains donor memory through mn and wraps it in the
-// remote-swap block device.
-func acquireSwap(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, hub *eventHub) (Lease, error) {
-	resp, ok := monitor.RequestMemoryOpts(p, r.On.EP, mn, r.Size, 0,
-		monitor.MemReqOpts{Scope: scope, Policy: r.policy, Latency: r.latency, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: borrow swap %d bytes: %w", r.Size, ErrTimeout)
-	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: borrow swap %d bytes: %s: %w", r.Size, resp.Err, ErrAdmissionRejected)
-		}
-		return nil, fmt.Errorf("core: borrow swap %d bytes: %s: %w", r.Size, resp.Err, ErrUnavailable)
-	}
-	size := r.Size
-	if resp.Granted > 0 && resp.Granted < r.Size {
-		size = resp.Granted
-	}
+// swapDevice wraps a memory grant in the remote-swap block device.
+func (b broker) swapDevice(p *sim.Proc, r Request, resp *monitor.AllocResp) (Lease, error) {
+	size := granted(r, resp)
 	lease := &SwapLease{
 		Recipient: r.On,
 		DonorBase: resp.DonorBase,
@@ -163,82 +182,58 @@ func acquireSwap(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocSc
 		donor:   resp.Donor,
 		kind:    Swap,
 		allocID: resp.AllocID,
-		mn:      mn,
-		hub:     hub,
+		mn:      b.mn,
+		hub:     b.hub,
 		trace:   r.trace,
 	}
-	emitGranted(hub, p, Swap, r.On.ID, resp.Donor, size, 0, r.trace, r.tenant, r.class)
+	emitGranted(b.hub, p, Swap, r.On.ID, resp.Donor, size, 0, r.trace, r.tenant, r.class)
 	return lease, nil
 }
 
-// acquireAccel asks mn for a remote accelerator and opens a handle to
-// the requested mailbox on the chosen donor. The donor must be running
-// an accel.Service (its agent advertises the device count).
-func acquireAccel(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, nodes []*node.Node, hub *eventHub) (Lease, error) {
-	resp, ok := monitor.RequestDeviceOpts(p, r.On.EP, mn, monitor.DevAccelerator,
-		monitor.DevReqOpts{Scope: scope, Policy: r.policy, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: attach accelerator: %w", ErrTimeout)
-	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: attach accelerator: %s: %w", resp.Err, ErrAdmissionRejected)
-		}
-		return nil, fmt.Errorf("core: attach accelerator: %s: %w", resp.Err, ErrUnavailable)
-	}
+// attachAccel opens a handle to the requested mailbox on the granted
+// donor. The donor must be running an accel.Service (its agent
+// advertises the device count).
+func (b broker) attachAccel(p *sim.Proc, r Request, resp *monitor.AllocResp) (Lease, error) {
 	h := r.client.Attach(resp.Donor, r.device, r.exclusive)
 	lease := &AccelLease{
 		Handle:    h,
 		Recipient: r.On,
-		donor:     nodes[resp.Donor],
-		nodes:     nodes,
+		donor:     b.nodes[resp.Donor],
+		nodes:     b.nodes,
 		allocID:   resp.AllocID,
-		mn:        mn,
-		hub:       hub,
+		mn:        b.mn,
+		hub:       b.hub,
 		trace:     r.trace,
 	}
 	// Follow recovery live: a donor failover retargets the handle and
 	// replays in-flight chunks against the replacement device.
-	lease.cancelWatch = hub.observe(lease.onEvent)
-	emitGranted(hub, p, Accel, r.On.ID, resp.Donor, 1, 0, r.trace, r.tenant, r.class)
+	lease.cancelWatch = b.hub.observe(lease.onEvent)
+	emitGranted(b.hub, p, Accel, r.On.ID, resp.Donor, 1, 0, r.trace, r.tenant, r.class)
 	return lease, nil
 }
 
-// acquireNIC asks mn for a remote NIC and builds the VNIC path to the
-// chosen donor's physical NIC (created here on its behalf).
-func acquireNIC(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, eng *sim.Engine, params *sim.Params, nodes []*node.Node, hub *eventHub) (Lease, error) {
-	resp, ok := monitor.RequestDeviceOpts(p, r.On.EP, mn, monitor.DevNIC,
-		monitor.DevReqOpts{Scope: scope, Policy: r.policy, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: attach NIC: %w", ErrTimeout)
-	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: attach NIC: %s: %w", resp.Err, ErrAdmissionRejected)
-		}
-		return nil, fmt.Errorf("core: attach NIC: %s: %w", resp.Err, ErrUnavailable)
-	}
-	donor := nodes[resp.Donor]
-	dn := vnic.NewNIC(eng, params, fmt.Sprintf("eth0@%v", donor.ID))
+// attachNIC builds the VNIC path to the granted donor's physical NIC
+// (created here on its behalf).
+func (b broker) attachNIC(p *sim.Proc, r Request, resp *monitor.AllocResp) (Lease, error) {
+	donor := b.nodes[resp.Donor]
+	dn := vnic.NewNIC(b.eng, b.params, fmt.Sprintf("eth0@%v", donor.ID))
 	v := vnic.AttachRemote(r.On, donor, dn)
 	lease := &NICLease{
 		VNIC:      v,
 		Recipient: r.On,
 		donor:     donor,
-		nodes:     nodes,
-		eng:       eng,
-		params:    params,
+		nodes:     b.nodes,
+		eng:       b.eng,
+		params:    b.params,
 		allocID:   resp.AllocID,
-		mn:        mn,
-		hub:       hub,
+		mn:        b.mn,
+		hub:       b.hub,
 		trace:     r.trace,
 	}
 	// Follow recovery live: a donor failover rebuilds the VNIC path
 	// against the replacement donor's physical NIC.
-	lease.cancelWatch = hub.observe(lease.onEvent)
-	emitGranted(hub, p, NIC, r.On.ID, resp.Donor, 1, 0, r.trace, r.tenant, r.class)
+	lease.cancelWatch = b.hub.observe(lease.onEvent)
+	emitGranted(b.hub, p, NIC, r.On.ID, resp.Donor, 1, 0, r.trace, r.tenant, r.class)
 	return lease, nil
 }
 

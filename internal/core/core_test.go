@@ -281,3 +281,48 @@ func TestBorrowFailureSurfacesError(t *testing.T) {
 	})
 	c.RunFor(30 * sim.Second)
 }
+
+// Two MN-brokered swap leases of one recipient on one donor must both
+// come back: each grant needs its own key in the donor agent's export
+// table, or the second release finds nothing to hot-return and the
+// donor stays short by a lease.
+func TestSwapLeasesReturnDonorMemory(t *testing.T) {
+	c := NewCluster(Config{StartAgents: true})
+	t.Cleanup(c.Close)
+	const donor = 2
+	for i, n := range c.Nodes {
+		if i == donor {
+			continue
+		}
+		if err := n.MemMgr.Reserve(n.MemMgr.Idle()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunFor(1 * sim.Second) // populate the RRT
+	idle := c.Node(donor).MemMgr.Idle()
+	recipient := c.Node(6)
+	recipient.Run("swaps", func(p *sim.Proc) {
+		var leases []Lease
+		for i := 0; i < 2; i++ {
+			l, err := c.Acquire(p, NewRequest(Swap, recipient, 1<<20))
+			if err != nil {
+				t.Errorf("swap acquire %d: %v", i, err)
+				return
+			}
+			if l.Donor() != donor {
+				t.Errorf("swap acquire %d: donor %v, want node %d", i, l.Donor(), donor)
+			}
+			leases = append(leases, l)
+		}
+		for _, l := range leases {
+			l.Release(p)
+		}
+	})
+	c.RunFor(1 * sim.Second)
+	if got := c.Node(donor).MemMgr.Idle(); got != idle {
+		t.Errorf("donor idle after both releases = %d, want %d (%d bytes leaked)", got, idle, idle-got)
+	}
+	if got := c.Agents[donor].Stats.Get("hotreturn.stale"); got != 0 {
+		t.Errorf("donor agent refused %d hot-returns as stale, want 0", got)
+	}
+}

@@ -19,7 +19,7 @@ type Agent struct {
 	Net    *fabric.Network
 
 	// Devices advertises shareable device units (accelerators, NICs).
-	Devices map[DeviceKind]int
+	Devices map[Resource]int
 
 	// Interval is the heartbeat period.
 	Interval sim.Dur
@@ -72,7 +72,7 @@ func NewAgent(ep *transport.Endpoint, mm *memsys.MemManager, net *fabric.Network
 		EP:       ep,
 		MemMgr:   mm,
 		Net:      net,
-		Devices:  make(map[DeviceKind]int),
+		Devices:  make(map[Resource]int),
 		Interval: 500 * sim.Millisecond,
 		exports:  make(map[string]*transport.RAMTEntry),
 		marks:    make(map[fabric.NodeID]*linkMarks),
@@ -139,7 +139,7 @@ func (a *Agent) Mute(muted bool) { a.muted = muted }
 
 // beat sends one heartbeat: idle memory, device counts, link probes.
 func (a *Agent) beat(p *sim.Proc) {
-	devs := make(map[DeviceKind]int, len(a.Devices))
+	devs := make(map[Resource]int, len(a.Devices))
 	for k, v := range a.Devices {
 		devs[k] = v
 	}

@@ -14,7 +14,7 @@ import (
 type Registration struct {
 	Node      fabric.NodeID
 	IdleBytes uint64
-	Devices   map[DeviceKind]int
+	Devices   map[Resource]int
 	LastBeat  sim.Time
 	Beats     int64
 
@@ -29,16 +29,32 @@ type Registration struct {
 	needsRecovery bool
 }
 
+// free reports the row's free units of k: idle bytes for memory, free
+// device units otherwise.
+func (r *Registration) free(k Resource) uint64 {
+	if !k.Device() {
+		return r.IdleBytes
+	}
+	return freeUnits(r.Devices, k)
+}
+
+// freeUnits reads a device count as free units (never negative).
+func freeUnits(devs map[Resource]int, k Resource) uint64 {
+	if n := devs[k]; n > 0 {
+		return uint64(n)
+	}
+	return 0
+}
+
 // Allocation is one row of the Resource Allocation Table.
 type Allocation struct {
 	ID            int
-	Kind          string     // "memory" or a DeviceKind name
-	Dev           DeviceKind // valid when Kind is a device
+	Kind          Resource
 	Donor         fabric.NodeID
 	Recipient     fabric.NodeID
 	DonorBase     uint64
 	RecipientBase uint64
-	Size          uint64
+	Size          uint64 // bytes for memory, 1 for a device unit
 	At            sim.Time
 
 	// Latency marks a latency-sensitive lease: the migration loop works
@@ -96,10 +112,10 @@ type Monitor struct {
 
 	// Admission is the tenancy admission controller's policy
 	// (admission.go): per-class thresholds plus the preemption switch,
-	// consulted before every tagged AllocMem/AllocDev grant. nil (the
-	// default) disables admission entirely — every pre-tenancy workload
-	// runs byte-identically. On a sub-MN the controller gates against
-	// the rack's own pressure.
+	// consulted before every tagged grant. nil (the default) disables
+	// admission entirely — every pre-tenancy workload runs
+	// byte-identically. On a sub-MN the controller gates against the
+	// rack's own pressure.
 	Admission *tenancy.Config
 
 	// HeartbeatTimeout marks a node dead when its reports stop.
@@ -130,10 +146,9 @@ type Monitor struct {
 	// pendingRackFrees parks upstream releases whose delivery to the
 	// root was lost; the sweep retries them so a link flap cannot leak
 	// a delegation forever. pendingCancels does the same for escalation
-	// cancellations (keyed by recipient + window, the cancellation's own
-	// resolution key).
+	// cancellations (keyed by the borrow's own resolution key).
 	pendingRackFrees map[int]*rackFreeReq
-	pendingCancels   map[cancelKey]*borrowCancelReq
+	pendingCancels   map[borrowKey]*borrowCancelReq
 	// rackBeatOn gates the rack-level report loop.
 	rackBeatOn bool
 
@@ -201,15 +216,13 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 		pendingRevokes:   make(map[int]*pendingNotice[revokeReq]),
 		delegated:        make(map[int]delegatedLease),
 		pendingRackFrees: make(map[int]*rackFreeReq),
-		pendingCancels:   make(map[cancelKey]*borrowCancelReq),
+		pendingCancels:   make(map[borrowKey]*borrowCancelReq),
 		spares:           make(map[fabric.NodeID][]spareRegion),
 		sparePending:     make(map[fabric.NodeID]int),
 	}
 	ep.HandleCall(kindHeartbeat, m.onHeartbeat)
-	ep.HandleCall(kindAllocMem, m.onAllocMem)
-	ep.HandleCall(kindFreeMem, m.onFreeMem)
-	ep.HandleCall(kindAllocDev, m.onAllocDev)
-	ep.HandleCall(kindFreeDev, m.onFreeDev)
+	ep.HandleCall(kindAlloc, m.onAlloc)
+	ep.HandleCall(kindFree, m.onFree)
 	ep.HandleCall(kindDelegate, m.onDelegate)
 	ep.HandleCall(kindDelegateFree, m.onDelegateFree)
 	ep.HandleCall(kindDelegateCancel, m.onDelegateCancel)
@@ -241,7 +254,7 @@ func (m *Monitor) Registrations() []Registration {
 	for _, id := range ids {
 		r := *m.rrt[id]
 		if r.Devices != nil {
-			devs := make(map[DeviceKind]int, len(r.Devices))
+			devs := make(map[Resource]int, len(r.Devices))
 			for k, v := range r.Devices {
 				devs[k] = v
 			}
@@ -360,8 +373,8 @@ func (m *Monitor) onHeartbeat(p *sim.Proc, from fabric.NodeID, req any) (any, in
 		// grants so a heartbeat cannot resurrect a unit that is on loan —
 		// the device analogue of IdleBytes, which agents do track.
 		for _, a := range m.rat {
-			if a.Kind != "memory" && a.Donor == hb.Node {
-				r.Devices[a.Dev]--
+			if a.Kind.Device() && a.Donor == hb.Node {
+				r.Devices[a.Kind]--
 			}
 		}
 	}
@@ -411,49 +424,61 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID, pol Policy) []*Regist
 	return cands
 }
 
-// onAllocMem services a memory request: the local donor walk first
-// (unless the scope hint forbids it), then — on a sub-MN — escalation to
-// the root MN when the rack is starved or the request asked for a
-// remote rack outright.
-func (m *Monitor) onAllocMem(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	r := req.(*AllocMemReq)
+// onAlloc services one lease request: admission first for tagged
+// requests, then the local donor walk (unless the scope hint forbids
+// it), then — on a sub-MN — escalation to the root MN when the rack is
+// starved or the request asked for a remote rack outright.
+func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+	r := req.(*AllocReq)
+	_, respSize := r.wireSizes()
 	pol, ok := m.resolvePolicy(r.Policy)
 	if !ok {
-		return &AllocMemResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, 64
+		return &AllocResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, respSize
 	}
 	// Tagged requests pass the admission controller first: it may admit
-	// the full size, shrink it (degraded grant), hold the request for a
-	// bounded wait, preempt Preemptible leases for a higher class, or
-	// reject outright. Untagged requests (Class zero) bypass it.
-	size := r.Size
+	// the full size, shrink a memory window (degraded grant), hold the
+	// request for a bounded wait, preempt Preemptible leases for a higher
+	// class, or reject outright. Untagged requests (Class zero) bypass it.
+	want := r.units()
+	size := want
 	if m.Admission != nil && r.Class != tenancy.ClassNone {
-		g, rejected := m.admitMem(p, from, r)
+		g, rejected := m.admit(p, from, r)
 		if rejected {
 			m.Stats.Add("admit.rejected", 1)
-			return &AllocMemResp{OK: false, Rejected: true,
-				Err: fmt.Sprintf("admission: %s class over budget for %d bytes", r.Class, r.Size)}, 64
+			return &AllocResp{OK: false, Rejected: true,
+				Err: fmt.Sprintf("admission: %s class over budget for %s", r.Class, describe(r.Kind, want))}, respSize
 		}
 		size = g
 	}
+	var resp *AllocResp
 	if r.Scope != ScopeRemoteRack {
-		if a, ok := m.grantFrom(p, from, size, r.WindowBase, 0, pol, grantMeta{
+		if a, ok := m.grant(p, from, r.Kind, size, r.WindowBase, 0, pol, grantMeta{
 			latency: r.Latency, trace: r.Trace, tenant: r.Tenant, class: r.Class,
 		}); ok {
-			m.Stats.Add("alloc.memory", 1)
-			resp := &AllocMemResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}
-			if size != r.Size {
-				resp.Granted = size
-			}
-			return resp, 64
+			m.Stats.Add("alloc."+r.Kind.String(), 1)
+			resp = &AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}
 		}
 	}
-	if m.HasUpstream && r.Scope != ScopeLocalRack {
-		if resp := m.escalate(p, from, r, size); resp != nil {
-			return resp, 64
-		}
+	if resp == nil && m.HasUpstream && r.Scope != ScopeLocalRack {
+		resp = m.escalate(p, from, r, size)
 	}
-	m.Stats.Add("alloc.failures", 1)
-	return &AllocMemResp{OK: false, Err: fmt.Sprintf("no donor with %d idle bytes", size)}, 64
+	if resp == nil {
+		m.Stats.Add("alloc.failures", 1)
+		return &AllocResp{OK: false, Err: fmt.Sprintf("no donor with %s free", describe(r.Kind, size))}, respSize
+	}
+	if size != want {
+		resp.Granted = size
+	}
+	return resp, respSize
+}
+
+// describe renders size units of k for error messages: "4096 bytes",
+// "1 nic".
+func describe(k Resource, size uint64) string {
+	if k.Device() {
+		return fmt.Sprintf("%d %s", size, k)
+	}
+	return fmt.Sprintf("%d bytes", size)
 }
 
 // resolvePolicy maps a request's policy-override name onto a Policy:
@@ -475,6 +500,18 @@ type grantMeta struct {
 	trace   uint64
 	tenant  uint64
 	class   tenancy.Class
+}
+
+// grant runs this MN's own donor walk for size units of k: the agent
+// hot-remove handshake for memory, a pure table operation for a device.
+// deleg tags the row with a root delegation id when the grant backs a
+// cross-rack lease; pol, when non-nil, overrides the MN's placement
+// policy for this walk.
+func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, k Resource, size, windowBase uint64, deleg int, pol Policy, meta grantMeta) (*Allocation, bool) {
+	if k.Device() {
+		return m.allocDevLocal(recipient, k, pol, deleg, meta)
+	}
+	return m.grantFrom(p, recipient, size, windowBase, deleg, pol, meta)
 }
 
 // grantFrom runs the donor walk for recipient: find a candidate, ask its
@@ -518,10 +555,9 @@ func (m *Monitor) grantFrom(p *sim.Proc, recipient fabric.NodeID, size, windowBa
 			cand.IdleBytes = 0
 			continue
 		}
-		id := m.nextAllocID
-		m.nextAllocID++
+		id := m.mintAllocID()
 		a := &Allocation{
-			ID: id, Kind: "memory", Donor: cand.Node, Recipient: recipient,
+			ID: id, Kind: Memory, Donor: cand.Node, Recipient: recipient,
 			DonorBase: resp.Base, RecipientBase: windowBase,
 			Size: size, At: m.EP.Eng.Now(), Deleg: deleg, Latency: meta.latency,
 			Trace: meta.trace, Tenant: meta.tenant, Class: meta.class,
@@ -535,11 +571,19 @@ func (m *Monitor) grantFrom(p *sim.Proc, recipient fabric.NodeID, size, windowBa
 	return nil, false
 }
 
-// onFreeMem tears an allocation down, returning the region to its donor
-// — or, for a lease delegated from another rack, forwarding the release
-// up to the root MN, which owns the donor-rack indirection.
-func (m *Monitor) onFreeMem(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	f := req.(*FreeMemReq)
+// mintAllocID hands out the next recipient-facing allocation id.
+func (m *Monitor) mintAllocID() int {
+	id := m.nextAllocID
+	m.nextAllocID++
+	return id
+}
+
+// onFree tears an allocation of either kind down, handing its backing
+// back to the donor as the row's kind requires (releaseBacking) — or,
+// for a lease delegated from another rack, forwards the release up to
+// the root MN, which owns the donor-rack indirection.
+func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+	f := req.(*FreeReq)
 	if ref, ok := m.delegated[f.AllocID]; ok {
 		if ref.recipient != from {
 			return &ack{}, 8
@@ -560,8 +604,8 @@ func (m *Monitor) onFreeMem(p *sim.Proc, from fabric.NodeID, req any) (any, int)
 		return &ack{}, 8
 	}
 	delete(m.rat, f.AllocID)
-	m.returnRegion(p, a)
-	m.Stats.Add("free.memory", 1)
+	m.releaseBacking(p, a)
+	m.Stats.Add("free."+a.Kind.pool(), 1)
 	m.emitLease(LeaseReleased, a, a.Donor)
 	return &ack{}, 8
 }
@@ -586,49 +630,12 @@ func (m *Monitor) returnRegion(p *sim.Proc, a *Allocation) {
 	}
 }
 
-// onAllocDev services a device request: the local donor walk first
-// (unless the scope hint forbids it), then — on a sub-MN — escalation to
-// the root MN, mirroring onAllocMem's gating so device leases ride the
-// same cross-rack delegation machinery as memory.
-func (m *Monitor) onAllocDev(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	r := req.(*AllocDevReq)
-	pol, ok := m.resolvePolicy(r.Policy)
-	if !ok {
-		return &AllocDevResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, 32
-	}
-	// Same admission gate as memory, in device units (free vs leased
-	// counts of the requested kind). Degradation does not apply to
-	// single-unit grants.
-	if m.Admission != nil && r.Class != tenancy.ClassNone {
-		if rejected := m.admitDev(p, from, r); rejected {
-			m.Stats.Add("admit.rejected", 1)
-			return &AllocDevResp{OK: false, Rejected: true,
-				Err: fmt.Sprintf("admission: %s class over budget for a %s", r.Class, r.Kind)}, 32
-		}
-	}
-	if r.Scope != ScopeRemoteRack {
-		if a, ok := m.allocDevLocal(from, r.Kind, pol, 0, grantMeta{
-			trace: r.Trace, tenant: r.Tenant, class: r.Class,
-		}); ok {
-			m.Stats.Add("alloc."+r.Kind.String(), 1)
-			return &AllocDevResp{OK: true, AllocID: a.ID, Donor: a.Donor}, 32
-		}
-	}
-	if m.HasUpstream && r.Scope != ScopeLocalRack {
-		if resp := m.escalateDev(p, from, r); resp != nil {
-			return resp, 32
-		}
-	}
-	m.Stats.Add("alloc.failures", 1)
-	return &AllocDevResp{OK: false, Err: "no " + r.Kind.String() + " available"}, 32
-}
-
 // allocDevLocal runs the donor walk for one device unit in this MN's own
 // scope. Device grants need no agent handshake (there is no hot-plug),
 // so the walk is a pure table operation. deleg tags the row when the
 // grant backs a cross-rack lease delegated by the root MN; meta carries
 // the row's passive annotations (trace id, tenant identity).
-func (m *Monitor) allocDevLocal(recipient fabric.NodeID, kind DeviceKind, pol Policy, deleg int, meta grantMeta) (*Allocation, bool) {
+func (m *Monitor) allocDevLocal(recipient fabric.NodeID, kind Resource, pol Policy, deleg int, meta grantMeta) (*Allocation, bool) {
 	for _, cand := range m.donorCandidates(recipient, pol) {
 		if cand.Devices[kind] <= 0 {
 			continue
@@ -640,10 +647,9 @@ func (m *Monitor) allocDevLocal(recipient fabric.NodeID, kind DeviceKind, pol Po
 			continue
 		}
 		cand.Devices[kind]--
-		id := m.nextAllocID
-		m.nextAllocID++
+		id := m.mintAllocID()
 		a := &Allocation{
-			ID: id, Kind: kind.String(), Dev: kind, Donor: cand.Node,
+			ID: id, Kind: kind, Donor: cand.Node,
 			Recipient: recipient, Size: 1, At: m.EP.Eng.Now(), Deleg: deleg,
 			Trace: meta.trace, Tenant: meta.tenant, Class: meta.class,
 		}
@@ -652,36 +658,4 @@ func (m *Monitor) allocDevLocal(recipient fabric.NodeID, kind DeviceKind, pol Po
 		return a, true
 	}
 	return nil, false
-}
-
-// onFreeDev returns a device unit to its donor's RRT row — or, for a
-// device lease delegated from another rack, forwards the release up to
-// the root MN exactly like onFreeMem does for delegated memory (the
-// rollback path AcquireAll's reverse unwind depends on).
-func (m *Monitor) onFreeDev(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	f := req.(*FreeDevReq)
-	if ref, ok := m.delegated[f.AllocID]; ok {
-		if ref.recipient != from {
-			return &ack{}, 8
-		}
-		delete(m.delegated, f.AllocID)
-		fr := &rackFreeReq{DelegID: ref.deleg}
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindRackFree, 32, fr, 3*m.GrantTimeout); !ok {
-			m.pendingRackFrees[ref.deleg] = fr
-			m.Stats.Add("free.upstream_lost", 1)
-		}
-		m.Stats.Add("free.delegated", 1)
-		return &ack{}, 8
-	}
-	a, ok := m.rat[f.AllocID]
-	if !ok || a.Recipient != from || a.Kind == "memory" {
-		return &ack{}, 8
-	}
-	delete(m.rat, f.AllocID)
-	if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
-		r.Devices[a.Dev]++
-	}
-	m.Stats.Add("free.device", 1)
-	m.emitLease(LeaseReleased, a, a.Donor)
-	return &ack{}, 8
 }

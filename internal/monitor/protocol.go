@@ -27,10 +27,8 @@ import (
 // RPC kinds exchanged between agents and the Monitor Node.
 const (
 	kindHeartbeat = "mn.heartbeat"
-	kindAllocMem  = "mn.allocmem"
-	kindFreeMem   = "mn.freemem"
-	kindAllocDev  = "mn.allocdev"
-	kindFreeDev   = "mn.freedev"
+	kindAlloc     = "mn.alloc"
+	kindFree      = "mn.free"
 
 	kindHotRemove   = "agent.hotremove"
 	kindHotReturn   = "agent.hotreturn"
@@ -52,18 +50,23 @@ const (
 	kindDelegateCancel = "sub.delegatecancel"
 )
 
-// DeviceKind distinguishes shareable device classes in the RRT.
-type DeviceKind int
+// Resource is what a lease holds: donor memory, counted in bytes, or one
+// unit of a shareable device class (§5.2). Requests, RAT rows, root
+// delegations and the RRT's device counts all carry it.
+type Resource int
 
-// Shareable device classes (§5.2).
+// Shareable resources. Memory is the zero value.
 const (
-	DevAccelerator DeviceKind = iota
+	Memory Resource = iota
+	DevAccelerator
 	DevNIC
 )
 
-// String names the device kind.
-func (k DeviceKind) String() string {
+// String names the resource.
+func (k Resource) String() string {
 	switch k {
+	case Memory:
+		return "memory"
 	case DevAccelerator:
 		return "accelerator"
 	case DevNIC:
@@ -71,6 +74,23 @@ func (k DeviceKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// MarshalText writes the name, so JSON snapshots show "memory" or
+// "accelerator" rather than an enum int.
+func (k Resource) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Device reports whether k is a device class (leased one unit at a
+// time, with no address window to hot-plug).
+func (k Resource) Device() bool { return k != Memory }
+
+// pool names the Stats family a lease of k counts under: "memory" or
+// "device".
+func (k Resource) pool() string {
+	if k.Device() {
+		return "device"
+	}
+	return "memory"
 }
 
 // LinkProbe is one link's health as observed by an agent. When the
@@ -88,7 +108,7 @@ type LinkProbe struct {
 type Heartbeat struct {
 	Node      fabric.NodeID
 	IdleBytes uint64
-	Devices   map[DeviceKind]int
+	Devices   map[Resource]int
 	Links     []LinkProbe
 	// Incarnation counts the node's reboots. The MN compares it against
 	// the RRT's recorded value to tell a crash-and-reboot apart from a
@@ -98,13 +118,13 @@ type Heartbeat struct {
 	Incarnation int64
 }
 
-// AllocScope is a placement hint on memory requests — the NUMA-style
+// AllocScope is a placement hint on MN requests — the NUMA-style
 // policy knob the hierarchical plane adds. The zero value preserves the
 // flat-cluster behavior exactly.
 type AllocScope int
 
 const (
-	// ScopeAny places wherever the plane finds memory: the sub-MN's own
+	// ScopeAny places wherever the plane finds the resource: the sub-MN's own
 	// rack first, escalating to the root MN only when the rack is
 	// starved.
 	ScopeAny AllocScope = iota
@@ -117,26 +137,29 @@ const (
 	ScopeRemoteRack
 )
 
-// AllocMemReq asks the MN for remote memory. The requester pre-selects
-// the local address window the borrowed region will be hot-plugged at,
-// so the donor can install the matching translation.
-type AllocMemReq struct {
-	Size       uint64
-	WindowBase uint64
+// AllocReq asks the MN for one lease: Size bytes of memory, or one
+// unit of a device class. A memory requester pre-selects the local
+// address window the borrowed region will be hot-plugged at, so the
+// donor can install the matching translation; the window also keys the
+// lease's cancellation, so it must be unique per recipient.
+type AllocReq struct {
+	Kind       Resource
+	Size       uint64 // bytes; ignored for devices, which lease one unit
+	WindowBase uint64 // memory only
 	// Scope is the hierarchical placement hint; flat clusters ignore it
 	// except ScopeRemoteRack, which fails (there is no other rack).
 	Scope AllocScope
 	// Policy names a registered placement policy to use for this request
 	// instead of the MN's configured one; "" keeps the MN default.
 	Policy string
-	// Latency marks the lease latency-sensitive: the migration loop
+	// Latency marks a memory lease latency-sensitive: the migration loop
 	// relieves its path by moving bulk leases away, and never retargets
 	// the lease itself.
 	Latency bool
 	// Trace is the requester's lease trace id; the MN stores it on the
 	// allocation row so recovery and migration events announce the same
 	// id the recipient's grant/release events carry. Purely passive —
-	// it never steers placement, and the request's wire size is fixed.
+	// it never steers placement and adds nothing to the wire size.
 	Trace uint64
 	// Tenant/Class identify the requesting tenant for the admission
 	// controller (tenancy.Config on the MN). The zero Class marks an
@@ -146,15 +169,34 @@ type AllocMemReq struct {
 	Class  tenancy.Class
 }
 
-// AllocMemResp answers an AllocMemReq.
-type AllocMemResp struct {
+// units is the request's size in its kind's units: bytes for memory,
+// one for a device.
+func (r *AllocReq) units() uint64 {
+	if r.Kind.Device() {
+		return 1
+	}
+	return r.Size
+}
+
+// wireSizes reports the request's and its response's sizes on the wire:
+// a memory request carries a window and its answer a donor base, a
+// device request neither.
+func (r *AllocReq) wireSizes() (req, resp int) {
+	if r.Kind.Device() {
+		return 16, 32
+	}
+	return 64, 64
+}
+
+// AllocResp answers an AllocReq.
+type AllocResp struct {
 	OK        bool
 	Err       string
 	AllocID   int
 	Donor     fabric.NodeID
-	DonorBase uint64
+	DonorBase uint64 // memory only
 	// Granted is the degraded grant size when the admission controller
-	// shrank the window (tenancy.Degrade); 0 means "as requested".
+	// shrank a memory window (tenancy.Degrade); 0 means "as requested".
 	Granted uint64
 	// Rejected marks an admission-controller rejection: the pool has
 	// capacity policy says this class may not take. Unlike an ordinary
@@ -163,136 +205,27 @@ type AllocMemResp struct {
 	Rejected bool
 }
 
-// FreeMemReq releases a previous allocation.
-type FreeMemReq struct {
+// FreeReq releases a previous allocation of either kind.
+type FreeReq struct {
 	AllocID int
 }
 
-// AllocDevReq asks the MN for a remote device of a kind.
-type AllocDevReq struct {
-	Kind DeviceKind
-	// Scope is the hierarchical placement hint, with the same semantics
-	// as AllocMemReq.Scope: device leases can be kept rack-local or
-	// delegated to a donor in another rack through the root MN.
-	Scope AllocScope
-	// Policy names a registered placement policy override for the donor
-	// walk; "" keeps the MN default.
-	Policy string
-	// Trace is the requester's lease trace id (see AllocMemReq.Trace).
-	Trace uint64
-	// Tenant/Class identify the requesting tenant for the admission
-	// controller (see AllocMemReq.Tenant).
-	Tenant uint64
-	Class  tenancy.Class
-}
-
-// AllocDevResp answers an AllocDevReq.
-type AllocDevResp struct {
-	OK      bool
-	Err     string
-	AllocID int
-	Donor   fabric.NodeID
-	// Rejected marks an admission-controller rejection (see
-	// AllocMemResp.Rejected).
-	Rejected bool
-}
-
-// FreeDevReq releases a device allocation.
-type FreeDevReq struct {
-	AllocID int
-}
-
-// RequestMemory is the client-side call a node's kernel memory manager
-// makes when it needs more memory than is locally available (step 2 of
-// Fig. 2).
-func RequestMemory(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, size, windowBase uint64) *AllocMemResp {
-	return RequestMemoryScoped(p, ep, mn, size, windowBase, ScopeAny)
-}
-
-// RequestMemoryScoped is RequestMemory with an explicit placement scope
-// (rack-local, remote-rack, or anywhere) for hierarchical planes.
-func RequestMemoryScoped(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, size, windowBase uint64, scope AllocScope) *AllocMemResp {
-	resp, _ := RequestMemoryOpts(p, ep, mn, size, windowBase, MemReqOpts{Scope: scope})
-	return resp
-}
-
-// MemReqOpts carries the optional refinements of one memory request:
-// a placement scope, a per-request policy override ("" keeps the MN
-// default), the latency-sensitive traffic class, and a bounded wait
-// (Timeout <= 0 waits indefinitely).
-type MemReqOpts struct {
-	Scope   AllocScope
-	Policy  string
-	Latency bool
-	Timeout sim.Dur
-	// Trace is the lease trace id stamped onto the allocation row (see
-	// AllocMemReq.Trace).
-	Trace uint64
-	// Tenant/Class identify the requesting tenant for admission control
-	// (see AllocMemReq.Tenant).
-	Tenant uint64
-	Class  tenancy.Class
-}
-
-// RequestMemoryOpts is RequestMemoryScoped with the full option set:
-// when o.Timeout > 0 the request aborts after that much virtual time
-// and reports ok=false (an unreachable or wedged MN must not park the
-// requester forever).
-func RequestMemoryOpts(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, size, windowBase uint64, o MemReqOpts) (*AllocMemResp, bool) {
-	req := &AllocMemReq{Size: size, WindowBase: windowBase, Scope: o.Scope, Policy: o.Policy, Latency: o.Latency, Trace: o.Trace, Tenant: o.Tenant, Class: o.Class}
-	if o.Timeout > 0 {
-		raw, ok := ep.CallTimeout(p, mn, kindAllocMem, 64, req, o.Timeout)
-		if !ok {
-			return nil, false
-		}
-		return raw.(*AllocMemResp), true
+// Alloc is the client-side call a node makes when it needs a remote
+// resource (step 2 of Fig. 2 for memory). When timeout > 0 the request
+// aborts after that much virtual time and reports ok=false: an
+// unreachable or wedged MN must not park the requester forever.
+func Alloc(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, req *AllocReq, timeout sim.Dur) (*AllocResp, bool) {
+	size, _ := req.wireSizes()
+	raw, ok := ep.CallTimeout(p, mn, kindAlloc, size, req, timeout)
+	if !ok {
+		return nil, false
 	}
-	return ep.Call(p, mn, kindAllocMem, 64, req).(*AllocMemResp), true
+	return raw.(*AllocResp), true
 }
 
-// FreeMemory releases a memory allocation by id.
-func FreeMemory(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
-	ep.Call(p, mn, kindFreeMem, 16, &FreeMemReq{AllocID: allocID})
-}
-
-// RequestDevice asks the MN for a remote device unit.
-func RequestDevice(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, kind DeviceKind) *AllocDevResp {
-	resp, _ := RequestDeviceOpts(p, ep, mn, kind, DevReqOpts{})
-	return resp
-}
-
-// DevReqOpts carries the optional refinements of one device request: a
-// placement scope and policy override (hierarchical planes only), a
-// bounded wait (Timeout <= 0 waits indefinitely), and the lease trace
-// id (see AllocMemReq.Trace).
-type DevReqOpts struct {
-	Scope   AllocScope
-	Policy  string
-	Timeout sim.Dur
-	Trace   uint64
-	// Tenant/Class identify the requesting tenant for admission control
-	// (see AllocMemReq.Tenant).
-	Tenant uint64
-	Class  tenancy.Class
-}
-
-// RequestDeviceOpts is RequestDevice with the full option set (same
-// timeout contract as RequestMemoryOpts).
-func RequestDeviceOpts(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, kind DeviceKind, o DevReqOpts) (*AllocDevResp, bool) {
-	req := &AllocDevReq{Kind: kind, Scope: o.Scope, Policy: o.Policy, Trace: o.Trace, Tenant: o.Tenant, Class: o.Class}
-	if o.Timeout > 0 {
-		raw, ok := ep.CallTimeout(p, mn, kindAllocDev, 16, req, o.Timeout)
-		if !ok {
-			return nil, false
-		}
-		return raw.(*AllocDevResp), true
-	}
-	return ep.Call(p, mn, kindAllocDev, 16, req).(*AllocDevResp), true
-}
-
-// FreeDevice releases a device allocation by id.
-func FreeDevice(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
-	ep.Call(p, mn, kindFreeDev, 16, &FreeDevReq{AllocID: allocID})
+// Free releases an allocation by id.
+func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
+	ep.Call(p, mn, kindFree, 16, &FreeReq{AllocID: allocID})
 }
 
 // hotRemoveReq is the MN->donor-agent request to donate memory.
@@ -399,7 +332,7 @@ type rackBeat struct {
 	// rows only), so the root can elect donor racks for device borrows
 	// the same way IdleBytes steers memory borrows. nil when the rack
 	// advertises no devices, keeping device-free planes byte-identical.
-	Devices map[DeviceKind]int
+	Devices map[Resource]int
 	// MaxUtil aggregates the rack's telemetry one level up: the hottest
 	// windowed link utilization any rack agent reported. HasUtil is false
 	// until telemetry-enabled agents report, so the zero value keeps the
@@ -412,22 +345,21 @@ type rackBeat struct {
 // cannot (or, under ScopeRemoteRack, must not) back a request, so the
 // root elects a donor rack and delegates the grant.
 type rackBorrowReq struct {
-	Rack       int // requester's rack, excluded from donor election
-	Recipient  fabric.NodeID
-	Size       uint64
+	Rack      int // requester's rack, excluded from donor election
+	Recipient fabric.NodeID
+	// Kind steers the election: racks are ranked by free units of it.
+	// Size is in the kind's units (1 for a device).
+	Kind Resource
+	Size uint64
+	// WindowBase is the borrow's cancellation key: the recipient window
+	// for memory, and for a device (which has no window) the sub's
+	// pre-minted recipient-facing alloc id.
 	WindowBase uint64
 	Policy     string        // per-request policy override, forwarded to the donor rack
 	Latency    bool          // latency-sensitive class, forwarded to the donor rack
 	Trace      uint64        // lease trace id, forwarded to the donor rack's RAT row
 	Tenant     uint64        // requesting tenant, forwarded to the donor rack's RAT row
 	Class      tenancy.Class // tenant priority class, forwarded for donor-rack admission
-	// Device marks a device borrow: the root elects the donor rack by
-	// free units of Dev instead of idle bytes, Size is 1 unit, and
-	// WindowBase carries the sub's pre-minted recipient-facing alloc id
-	// (devices have no address window) so cancellations stay
-	// key-resolvable.
-	Device bool
-	Dev    DeviceKind
 }
 
 // rackBorrowResp answers a rackBorrowReq.
@@ -452,9 +384,10 @@ type rackFreeReq struct {
 type borrowCancelReq struct {
 	Recipient     fabric.NodeID
 	RecipientBase uint64
-	// Device narrows the key match to device delegations (whose
-	// RecipientBase carries the pre-minted alloc id, not a window).
-	Device bool
+	// Kind narrows the key match to delegations of the same kind: a
+	// device key is a pre-minted alloc id, a memory key a window, and
+	// the two may coincide.
+	Kind Resource
 }
 
 // nodeDownReq is a sub-MN's notice to the root that its sweep declared
@@ -481,18 +414,14 @@ type delegateMovedReq struct {
 type delegateReq struct {
 	DelegID    int
 	Recipient  fabric.NodeID
-	Size       uint64
+	Kind       Resource
+	Size       uint64 // in the kind's units
 	WindowBase uint64
 	Policy     string        // per-request policy override for the donor walk
 	Latency    bool          // latency-sensitive class for the granted row
 	Trace      uint64        // lease trace id for the granted row
 	Tenant     uint64        // requesting tenant for the granted row
 	Class      tenancy.Class // tenant priority class (donor-rack admission: admit/reject only)
-	// Device asks the donor rack for one unit of Dev instead of memory;
-	// the sub's device walk needs no agent handshake (no hot-plug), so
-	// the grant is a pure table operation.
-	Device bool
-	Dev    DeviceKind
 }
 
 // delegateResp answers a delegateReq.

@@ -51,7 +51,15 @@ type RackStatus struct {
 	HasUtil bool
 	// Devices is the rack's aggregate free device units per kind, as of
 	// the last rackbeat (nil when the rack advertises none).
-	Devices map[DeviceKind]int
+	Devices map[Resource]int
+}
+
+// free reports the rack's free units of k as of its last rackbeat.
+func (rs *RackStatus) free(k Resource) uint64 {
+	if !k.Device() {
+		return rs.IdleBytes
+	}
+	return freeUnits(rs.Devices, k)
 }
 
 // Delegation is one row of the root MN's delegation table: a lease
@@ -72,11 +80,10 @@ type Delegation struct {
 	Trace         uint64        // lease trace id, preserved across re-delegation
 	Tenant        uint64        // owning tenant, preserved across re-delegation
 	Class         tenancy.Class // tenant priority class, preserved across re-delegation
-	// Kind is "memory" or a DeviceKind name; Dev is valid for device
-	// delegations. Device delegations have Size 1 (one unit) and carry
-	// the recipient sub-MN's pre-minted alloc id in RecipientBase.
-	Kind string
-	Dev  DeviceKind
+	// Kind is the delegated resource. Device delegations have Size 1
+	// (one unit) and carry the recipient sub-MN's pre-minted alloc id in
+	// RecipientBase.
+	Kind Resource
 }
 
 // Root is the root Monitor Node of a sharded plane. It brokers nothing
@@ -226,16 +233,16 @@ func (rt *Root) onRackBeat(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	return &ack{}, 8
 }
 
-// donorRacks orders candidate donor racks for a request from exclude:
-// live racks with enough aggregate idle memory. With rack telemetry the
+// donorRacks orders candidate donor racks for size units of k from
+// exclude: live racks with that many free units. With rack telemetry the
 // coolest rack wins first (a saturated rack fabric makes a poor donor
-// no matter how much memory idles behind it); without it — including
-// every telemetry-off configuration, byte-identically — most-idle
+// no matter how much idles behind it); without it — including every
+// telemetry-off configuration, byte-identically — most free units
 // first. Rack id breaks ties, keeping elections deterministic.
-func (rt *Root) donorRacks(exclude int, size uint64) []*RackStatus {
+func (rt *Root) donorRacks(exclude int, k Resource, size uint64) []*RackStatus {
 	var cands []*RackStatus
 	for _, rs := range rt.racks {
-		if rs.Rack == exclude || !rt.RackAlive(rs.Rack) || rs.IdleBytes < size {
+		if rs.Rack == exclude || !rt.RackAlive(rs.Rack) || rs.free(k) < size {
 			continue
 		}
 		cands = append(cands, rs)
@@ -250,36 +257,8 @@ func (rt *Root) donorRacks(exclude int, size uint64) []*RackStatus {
 		if ui, uj := util(cands[i]), util(cands[j]); ui != uj {
 			return ui < uj
 		}
-		if cands[i].IdleBytes != cands[j].IdleBytes {
-			return cands[i].IdleBytes > cands[j].IdleBytes
-		}
-		return cands[i].Rack < cands[j].Rack
-	})
-	return cands
-}
-
-// donorRacksDev is donorRacks for device borrows: live racks advertising
-// free units of kind, coolest first, then most-units, then rack id.
-func (rt *Root) donorRacksDev(exclude int, kind DeviceKind) []*RackStatus {
-	var cands []*RackStatus
-	for _, rs := range rt.racks {
-		if rs.Rack == exclude || !rt.RackAlive(rs.Rack) || rs.Devices[kind] <= 0 {
-			continue
-		}
-		cands = append(cands, rs)
-	}
-	util := func(rs *RackStatus) float64 {
-		if rs.HasUtil {
-			return rs.MaxUtil
-		}
-		return 0
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if ui, uj := util(cands[i]), util(cands[j]); ui != uj {
-			return ui < uj
-		}
-		if cands[i].Devices[kind] != cands[j].Devices[kind] {
-			return cands[i].Devices[kind] > cands[j].Devices[kind]
+		if fi, fj := cands[i].free(k), cands[j].free(k); fi != fj {
+			return fi > fj
 		}
 		return cands[i].Rack < cands[j].Rack
 	})
@@ -304,12 +283,10 @@ const rootBorrowCandidates = 2
 func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*delegateResp, bool) {
 	raw, ok := rt.EP.CallTimeout(p, rs.Sub, kindDelegate, 64, req, rt.delegateTimeout())
 	drain := func() {
-		if req.Device {
-			if rs.Devices != nil {
-				rs.Devices[req.Dev] = 0
-			}
-		} else {
+		if !req.Kind.Device() {
 			rs.IdleBytes = 0
+		} else if rs.Devices != nil {
+			rs.Devices[req.Kind] = 0
 		}
 	}
 	if !ok {
@@ -328,8 +305,8 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*dele
 		drain()
 		return nil, false
 	}
-	if req.Device {
-		rs.Devices[req.Dev]--
+	if req.Kind.Device() {
+		rs.Devices[req.Kind] -= int(req.Size)
 	} else {
 		rs.IdleBytes -= req.Size
 	}
@@ -343,23 +320,17 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*dele
 func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*rackBorrowReq)
 	rt.Stats.Add("root.borrows", 1)
-	key := borrowKey{recipient: r.Recipient, base: r.WindowBase}
+	key := borrowKey{recipient: r.Recipient, kind: r.Kind, base: r.WindowBase}
 	id := rt.nextDelegID
 	rt.nextDelegID++
-	kind := "memory"
-	cands := rt.donorRacks(r.Rack, r.Size)
-	if r.Device {
-		kind = r.Dev.String()
-		cands = rt.donorRacksDev(r.Rack, r.Dev)
-	}
-	for tried, rs := range cands {
+	for tried, rs := range rt.donorRacks(r.Rack, r.Kind, r.Size) {
 		if tried >= rootBorrowCandidates {
 			break
 		}
 		resp, ok := rt.delegateTo(p, rs, &delegateReq{
-			DelegID: id, Recipient: r.Recipient, Size: r.Size, WindowBase: r.WindowBase,
+			DelegID: id, Recipient: r.Recipient, Kind: r.Kind, Size: r.Size, WindowBase: r.WindowBase,
 			Policy: r.Policy, Latency: r.Latency, Trace: r.Trace,
-			Tenant: r.Tenant, Class: r.Class, Device: r.Device, Dev: r.Dev,
+			Tenant: r.Tenant, Class: r.Class,
 		})
 		if !ok {
 			continue
@@ -369,8 +340,7 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			SubAllocID: resp.AllocID, Donor: resp.Donor,
 			Recipient: r.Recipient, RecipientBase: r.WindowBase,
 			Size: r.Size, At: rt.EP.Eng.Now(), Latency: r.Latency, Trace: r.Trace,
-			Tenant: r.Tenant, Class: r.Class,
-			Kind: kind, Dev: r.Dev,
+			Tenant: r.Tenant, Class: r.Class, Kind: r.Kind,
 		}
 		if rt.cancelled[key] {
 			// The requesting sub gave up and cancelled while this
@@ -388,28 +358,23 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	}
 	delete(rt.cancelled, key) // a failed election has nothing to cancel
 	rt.Stats.Add("root.borrow_failures", 1)
-	if r.Device {
-		return &rackBorrowResp{OK: false, Err: "no rack with a free " + r.Dev.String()}, 64
-	}
-	return &rackBorrowResp{OK: false, Err: fmt.Sprintf("no rack with %d idle bytes", r.Size)}, 64
+	return &rackBorrowResp{OK: false, Err: fmt.Sprintf("no rack with %s free", describe(r.Kind, r.Size))}, 64
 }
 
 // onBorrowCancel services a sub-MN whose escalation timed out: if the
 // borrow did complete at the root (the response was lost, or the
 // election outlasted the sub's patience), the orphaned delegation —
-// which no sub-MN holds a mapping for — is torn down. The window base
-// identifies it: hot-plug windows are never reused per recipient.
+// which no sub-MN holds a mapping for — is torn down. Its key
+// identifies it: a recipient never reuses a hot-plug window, nor a
+// sub-MN an alloc id.
 func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	c := req.(*borrowCancelReq)
 	matched := false
 	for _, id := range sortedKeys(rt.dels) {
 		d, ok := rt.dels[id]
-		if !ok || d.Recipient != c.Recipient || d.RecipientBase != c.RecipientBase {
-			continue
-		}
 		// Device delegations key on a pre-minted alloc id, memory ones on
 		// a window base; never let one kind's cancel tear the other down.
-		if (d.Kind != "" && d.Kind != "memory") != c.Device {
+		if !ok || d.Recipient != c.Recipient || d.RecipientBase != c.RecipientBase || d.Kind != c.Kind {
 			continue
 		}
 		delete(rt.dels, id)
@@ -423,14 +388,16 @@ func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int)
 		// The election may still be in flight (a sub whose patience was
 		// configured under the root's worst case): leave a mark so its
 		// success path unwinds instead of recording an unfreeable grant.
-		rt.cancelled[borrowKey{recipient: c.Recipient, base: c.RecipientBase}] = true
+		rt.cancelled[borrowKey{recipient: c.Recipient, kind: c.Kind, base: c.RecipientBase}] = true
 	}
 	return &ack{}, 8
 }
 
-// borrowKey identifies one borrow by its recipient-unique window.
+// borrowKey identifies one escalated borrow by its recipient-unique
+// key: the window for memory, the pre-minted alloc id for a device.
 type borrowKey struct {
 	recipient fabric.NodeID
+	kind      Resource
 	base      uint64
 }
 
@@ -637,17 +604,12 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 		// region instead of diverging from the re-delegated truth.
 		rt.tombs[dead] = append(rt.tombs[dead], d.SubAllocID)
 		oldDonor := d.Donor
-		device := d.Kind != "" && d.Kind != "memory"
+		device := d.Kind.Device()
 		moved := false
-		cands := rt.donorRacks(dead, d.Size)
-		if device {
-			cands = rt.donorRacksDev(dead, d.Dev)
-		}
-		for _, rs := range cands {
+		for _, rs := range rt.donorRacks(dead, d.Kind, d.Size) {
 			resp, ok := rt.delegateTo(p, rs, &delegateReq{
-				DelegID: d.ID, Recipient: d.Recipient, Size: d.Size, WindowBase: d.RecipientBase,
+				DelegID: d.ID, Recipient: d.Recipient, Kind: d.Kind, Size: d.Size, WindowBase: d.RecipientBase,
 				Latency: d.Latency, Trace: d.Trace, Tenant: d.Tenant, Class: d.Class,
-				Device: device, Dev: d.Dev,
 			})
 			if !ok {
 				continue
@@ -778,7 +740,7 @@ func (m *Monitor) StopRackBeat() { m.rackBeatOn = false }
 func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 	var idle uint64
 	live := 0
-	var devs map[DeviceKind]int
+	var devs map[Resource]int
 	for _, r := range m.rrt {
 		if !r.Dead && m.NodeAlive(r.Node) {
 			idle += r.IdleBytes
@@ -788,7 +750,7 @@ func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 					continue
 				}
 				if devs == nil {
-					devs = make(map[DeviceKind]int)
+					devs = make(map[Resource]int)
 				}
 				devs[k] += v
 			}
@@ -817,11 +779,22 @@ func (m *Monitor) borrowTimeout() sim.Dur { return 8 * m.GrantTimeout }
 
 // escalate forwards a request the rack cannot serve to the root MN and,
 // on success, records the recipient-facing alloc-id → delegation-id
-// mapping so the lease frees through the same FreeMemory call path.
-// size is the admitted size — r.Size unless the local admission gate
+// mapping so the lease frees through the same Free call. size is the
+// admitted size — the request's units unless the local admission gate
 // degraded the grant before the rack turned out to be starved.
-func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocMemReq, size uint64) *AllocMemResp {
-	req := &rackBorrowReq{Rack: m.Rack, Recipient: from, Size: size, WindowBase: r.WindowBase, Policy: r.Policy, Latency: r.Latency, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class}
+func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size uint64) *AllocResp {
+	// The borrow's cancellation key must be unique per recipient. A
+	// memory borrow has its hot-plug window; a device has none, so the
+	// sub mints the recipient-facing alloc id up front and uses that.
+	id, key := -1, r.WindowBase
+	if r.Kind.Device() {
+		id = m.mintAllocID()
+		key = uint64(id)
+	}
+	req := &rackBorrowReq{
+		Rack: m.Rack, Recipient: from, Kind: r.Kind, Size: size, WindowBase: key,
+		Policy: r.Policy, Latency: r.Latency, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class,
+	}
 	raw, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBorrow, 64, req, m.borrowTimeout())
 	if !ok {
 		// The response is lost (or the root outran our patience, which
@@ -831,9 +804,9 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocMemReq, size
 		// delegation. An undeliverable cancel parks for sweep retry — a
 		// flap must not leak a delegation forever.
 		m.Stats.Add("alloc.upstream_timeouts", 1)
-		cancel := &borrowCancelReq{Recipient: from, RecipientBase: r.WindowBase}
+		cancel := &borrowCancelReq{Recipient: from, RecipientBase: key, Kind: r.Kind}
 		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32, cancel, m.GrantTimeout); !ok {
-			m.pendingCancels[cancelKey{recipient: from, base: r.WindowBase}] = cancel
+			m.pendingCancels[borrowKey{recipient: from, kind: r.Kind, base: key}] = cancel
 			m.Stats.Add("alloc.cancel_lost", 1)
 		}
 		return nil
@@ -843,50 +816,12 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocMemReq, size
 		m.Stats.Add("alloc.upstream_declines", 1)
 		return nil
 	}
-	id := m.nextAllocID
-	m.nextAllocID++
-	m.delegated[id] = delegatedLease{deleg: resp.DelegID, recipient: from}
-	m.Stats.Add("alloc.delegated", 1)
-	out := &AllocMemResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}
-	if size != r.Size {
-		out.Granted = size
-	}
-	return out
-}
-
-// escalateDev forwards a device request the rack cannot serve to the
-// root MN — the device mirror of escalate. Devices carry no hot-plug
-// window, so the sub pre-mints the recipient-facing alloc id and rides
-// it in WindowBase as the borrow's cancellation key.
-func (m *Monitor) escalateDev(p *sim.Proc, from fabric.NodeID, r *AllocDevReq) *AllocDevResp {
-	id := m.nextAllocID
-	m.nextAllocID++
-	req := &rackBorrowReq{
-		Rack: m.Rack, Recipient: from, Size: 1, WindowBase: uint64(id),
-		Policy: r.Policy, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class,
-		Device: true, Dev: r.Kind,
-	}
-	raw, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBorrow, 64, req, m.borrowTimeout())
-	if !ok {
-		// Same lost-response contract as memory escalation: the borrow
-		// may have completed at the root, so cancel by key (parking the
-		// cancel itself when the spine eats it too).
-		m.Stats.Add("alloc.upstream_timeouts", 1)
-		cancel := &borrowCancelReq{Recipient: from, RecipientBase: uint64(id), Device: true}
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32, cancel, m.GrantTimeout); !ok {
-			m.pendingCancels[cancelKey{recipient: from, base: uint64(id)}] = cancel
-			m.Stats.Add("alloc.cancel_lost", 1)
-		}
-		return nil
-	}
-	resp := raw.(*rackBorrowResp)
-	if !resp.OK {
-		m.Stats.Add("alloc.upstream_declines", 1)
-		return nil
+	if id < 0 {
+		id = m.mintAllocID()
 	}
 	m.delegated[id] = delegatedLease{deleg: resp.DelegID, recipient: from}
 	m.Stats.Add("alloc.delegated", 1)
-	return &AllocDevResp{OK: true, AllocID: id, Donor: resp.Donor}
+	return &AllocResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}
 }
 
 // delegatedLease is a sub-MN's record of one lease another rack backs
@@ -894,12 +829,6 @@ func (m *Monitor) escalateDev(p *sim.Proc, from fabric.NodeID, r *AllocDevReq) *
 type delegatedLease struct {
 	deleg     int
 	recipient fabric.NodeID
-}
-
-// cancelKey identifies a parked escalation cancellation.
-type cancelKey struct {
-	recipient fabric.NodeID
-	base      uint64
 }
 
 // retryRackFrees redelivers upstream releases and escalation
@@ -914,7 +843,7 @@ func (m *Monitor) retryRackFrees(p *sim.Proc) {
 		delete(m.pendingRackFrees, id)
 		m.Stats.Add("free.upstream_retried", 1)
 	}
-	keys := make([]cancelKey, 0, len(m.pendingCancels))
+	keys := make([]borrowKey, 0, len(m.pendingCancels))
 	for k := range m.pendingCancels {
 		keys = append(keys, k)
 	}
@@ -922,7 +851,10 @@ func (m *Monitor) retryRackFrees(p *sim.Proc) {
 		if keys[i].recipient != keys[j].recipient {
 			return keys[i].recipient < keys[j].recipient
 		}
-		return keys[i].base < keys[j].base
+		if keys[i].base != keys[j].base {
+			return keys[i].base < keys[j].base
+		}
+		return keys[i].kind < keys[j].kind
 	})
 	for _, k := range keys {
 		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32,
@@ -957,18 +889,7 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			return &delegateResp{OK: false, Err: "admission: donor rack over budget"}, 64
 		}
 	}
-	if r.Device {
-		a, ok := m.allocDevLocal(r.Recipient, r.Dev, pol, r.DelegID, grantMeta{
-			trace: r.Trace, tenant: r.Tenant, class: r.Class,
-		})
-		if !ok {
-			m.Stats.Add("delegate.declined", 1)
-			return &delegateResp{OK: false, Err: "no rack donor"}, 64
-		}
-		m.Stats.Add("delegate.granted", 1)
-		return &delegateResp{OK: true, AllocID: a.ID, Donor: a.Donor}, 64
-	}
-	a, ok := m.grantFrom(p, r.Recipient, r.Size, r.WindowBase, r.DelegID, pol, grantMeta{
+	a, ok := m.grant(p, r.Recipient, r.Kind, r.Size, r.WindowBase, r.DelegID, pol, grantMeta{
 		latency: r.Latency, trace: r.Trace, tenant: r.Tenant, class: r.Class,
 	})
 	if !ok {
@@ -984,29 +905,12 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 // verdicts collapsed to a single preemption attempt (classes above
 // Preemptible) and otherwise a decline.
 func (m *Monitor) admitDelegate(p *sim.Proc, r *delegateReq) bool {
-	decide := func() tenancy.Decision {
-		if r.Device {
-			free, capacity := m.devPressure(r.Dev)
-			dec, _ := m.Admission.Decide(r.Class, 1, free, capacity)
-			return dec
-		}
-		idle, capacity := m.memPressure()
-		dec, _ := m.Admission.Decide(r.Class, r.Size, idle, capacity)
-		return dec
-	}
-	if decide() == tenancy.Admit {
+	if dec, _ := m.decide(r.Kind, r.Class, r.Size); dec == tenancy.Admit {
 		return true
 	}
-	if r.Class > tenancy.Preemptible && m.Admission.Preempt {
-		ok := false
-		if r.Device {
-			ok = m.preemptDev(p, r.Recipient, r.Dev)
-		} else {
-			ok = m.preemptMem(p, r.Recipient, &AllocMemReq{Size: r.Size, Class: r.Class})
-		}
-		if ok {
-			return decide() == tenancy.Admit
-		}
+	if r.Class > tenancy.Preemptible && m.Admission.Preempt && m.preempt(p, r.Recipient, r.Kind, r.Class, r.Size) {
+		dec, _ := m.decide(r.Kind, r.Class, r.Size)
+		return dec == tenancy.Admit
 	}
 	return false
 }
@@ -1030,13 +934,18 @@ func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, in
 // rows hot-return the region, device rows credit the donor's free-unit
 // account (no agent round trip — devices have no hot-plugged state).
 func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
-	if a.Kind != "memory" {
-		if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
-			r.Devices[a.Dev]++
-		}
+	if a.Kind.Device() {
+		m.creditDevice(a)
 		return
 	}
 	m.returnRegion(p, a)
+}
+
+// creditDevice hands a device row's unit back to its donor's RRT row.
+func (m *Monitor) creditDevice(a *Allocation) {
+	if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
+		r.Devices[a.Kind]++
+	}
 }
 
 // onDelegateCancel services the root MN's key-resolved cancellation of

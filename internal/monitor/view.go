@@ -41,7 +41,7 @@ func (m *Monitor) view() *View {
 		v.Load[a.Donor]++
 	}
 	for _, a := range m.rat {
-		if a.Kind != "memory" {
+		if a.Kind != Memory {
 			continue
 		}
 		for _, l := range v.PathLinks(a.Recipient, a.Donor) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/monitor"
@@ -13,11 +14,12 @@ import (
 )
 
 // Admission-ordering contract, exercised end to end on both monitor
-// planes: under a saturated pool the MN must treat the classes in
-// strict lattice order — Preemptible is rejected outright, Standard
-// queues and then preempts its way in, Latency preempts immediately
-// without ever queueing — and a queued request whose caller set a
-// shorter WithTimeout surfaces ErrTimeout instead of hanging.
+// planes and for both resource kinds the MN gates (memory bytes and
+// accelerator units): under a saturated pool the MN must treat the
+// classes in strict lattice order — Preemptible is rejected outright,
+// Standard queues and then preempts its way in, Latency preempts
+// immediately without ever queueing — and a queued request whose caller
+// set a shorter WithTimeout surfaces ErrTimeout instead of hanging.
 
 // orderRig abstracts the plane under test: a flat cluster's MN or a
 // hier cluster's rack-0 sub-MN.
@@ -30,10 +32,51 @@ type orderRig struct {
 	// opts are appended to every request (the hier rig pins
 	// ScopeLocalRack so escalation cannot sidestep the rack's admission).
 	opts []core.Option
-	// units is the pool size in leases; preemptibleUnits how many the
-	// Preemptible budget admits.
-	units, preemptibleUnits int
-	close                   func()
+	// memUnits is the memory pool size in orderLease leases. Every rig
+	// also advertises orderAccels accelerator units.
+	memUnits int
+	close    func()
+}
+
+// orderKind is one resource the ordering contract runs over: how to
+// request one lease of it, the MN counter its preemptions land in, and
+// its pool size in leases on a rig.
+type orderKind struct {
+	name       string
+	request    func(rig *orderRig) core.Request
+	preemptKey string
+	units      func(rig *orderRig) int
+}
+
+// orderAccels is the accelerator pool every rig advertises: two units on
+// each of two donors outside the MN and the app node.
+const orderAccels = 4
+
+var orderKinds = []orderKind{
+	{
+		name: "memory",
+		request: func(rig *orderRig) core.Request {
+			return core.NewRequest(core.Memory, rig.app, orderLease, rig.opts...)
+		},
+		preemptKey: "preempt.memory",
+		units:      func(rig *orderRig) int { return rig.memUnits },
+	},
+	{
+		name: "accelerator",
+		request: func(rig *orderRig) core.Request {
+			return core.NewRequest(core.Accel, rig.app, 0,
+				append([]core.Option{core.WithClient(accel.NewClient(rig.app))}, rig.opts...)...)
+		},
+		preemptKey: "preempt.device",
+		units:      func(*orderRig) int { return orderAccels },
+	},
+}
+
+// advertiseAccels gives two donors two accelerator units each.
+func advertiseAccels(agents ...*monitor.Agent) {
+	for _, ag := range agents {
+		ag.Devices[monitor.DevAccelerator] = orderAccels / len(agents)
+	}
 }
 
 // orderPolicy is the pinned admission policy the ordering table runs
@@ -69,10 +112,11 @@ func flatRig(t *testing.T) *orderRig {
 			t.Fatalf("reserving node %d: %v", i, err)
 		}
 	}
+	advertiseAccels(cl.Agents[2], cl.Agents[3])
 	cl.RunFor(10 * sim.Millisecond)
 	return &orderRig{
 		name: "flat", plane: cl, app: cl.Node(1), stats: &cl.MN.Stats,
-		eng: cl.Eng, units: 24, preemptibleUnits: 12, close: cl.Close,
+		eng: cl.Eng, memUnits: 24, close: cl.Close,
 	}
 }
 
@@ -84,124 +128,146 @@ func hierRig(t *testing.T) *orderRig {
 		HeartbeatInterval: 100 * sim.Microsecond,
 		Admission:         orderPolicy(),
 	})
+	rack := cl.Hier.RackNodes(0)
 	sub := cl.SubNode(0)
-	app := cl.Nodes[cl.Hier.RackNodes(0)[1]]
+	app := cl.Nodes[rack[1]]
 	for _, id := range []fabric.NodeID{sub, app.ID} {
 		if err := cl.Nodes[id].MemMgr.Reserve(cl.Nodes[id].MemMgr.Idle()); err != nil {
 			t.Fatalf("reserving node %v: %v", id, err)
 		}
 	}
+	advertiseAccels(cl.Agents[rack[2]], cl.Agents[rack[3]])
 	cl.RunFor(10 * sim.Millisecond)
 	return &orderRig{
 		name: "hier", plane: cl, app: app, stats: &cl.Subs[0].Stats,
-		eng:   cl.Eng,
-		opts:  []core.Option{core.WithScope(monitor.ScopeLocalRack)},
-		units: 8, preemptibleUnits: 4, close: cl.Close,
+		eng:      cl.Eng,
+		opts:     []core.Option{core.WithScope(monitor.ScopeLocalRack)},
+		memUnits: 8, close: cl.Close,
 	}
 }
 
 func TestAdmissionClassOrdering(t *testing.T) {
-	rigs := []func(*testing.T) *orderRig{flatRig, hierRig}
-	for _, mk := range rigs {
-		rig := mk(t)
-		t.Run(rig.name, func(t *testing.T) {
-			defer rig.close()
-			acquire := func(p *sim.Proc, opts ...core.Option) (core.Lease, error) {
-				req := core.NewRequest(core.Memory, rig.app, orderLease, rig.opts...)
-				return rig.plane.Acquire(p, req.With(opts...))
-			}
-			done := rig.app.Run("admission-order", func(p *sim.Proc) {
-				// Saturate the Preemptible budget, then fill the rest of the
-				// pool with untagged leases admission never sees.
-				holders := 0
-				for {
-					_, err := acquire(p, core.WithTenant(uint64(100+holders), tenancy.Preemptible))
-					if err != nil {
-						if !errors.Is(err, core.ErrAdmissionRejected) {
-							t.Errorf("holder %d: got %v, want ErrAdmissionRejected at budget", holders, err)
-						}
-						break
-					}
-					holders++
-				}
-				if holders != rig.preemptibleUnits {
-					t.Errorf("Preemptible budget admitted %d leases, want %d", holders, rig.preemptibleUnits)
-					return
-				}
-				fill := func() int {
-					n := 0
-					for {
-						if _, err := acquire(p); err != nil {
-							if !errors.Is(err, core.ErrUnavailable) {
-								t.Errorf("untagged fill: got %v, want ErrUnavailable when the pool drains", err)
-							}
-							return n
-						}
-						n++
-					}
-				}
-				if got := fill(); got != rig.units-rig.preemptibleUnits {
-					t.Errorf("untagged fill took %d leases, want %d", got, rig.units-rig.preemptibleUnits)
-					return
-				}
-
-				// Lowest class first: rejected outright, and never allowed to
-				// preempt its own class.
-				preempts := func() int64 { return rig.stats.Get("preempt.memory") }
-				queued := func() int64 { return rig.stats.Get("admit.queued") }
-				if _, err := acquire(p, core.WithTenant(1, tenancy.Preemptible)); !errors.Is(err, core.ErrAdmissionRejected) {
-					t.Errorf("Preemptible under pressure: got %v, want ErrAdmissionRejected", err)
-				}
-				if got := preempts(); got != 0 {
-					t.Errorf("Preemptible rejection triggered %d preemptions, want 0", got)
-				}
-
-				// Standard: queues for its bounded wait, then preempts in.
-				q0 := queued()
-				if _, err := acquire(p, core.WithTenant(2, tenancy.Standard)); err != nil {
-					t.Errorf("Standard under pressure: got %v, want a preempted-in grant", err)
-					return
-				}
-				stdPreempts := preempts()
-				if stdPreempts == 0 {
-					t.Error("Standard grant preempted nothing; it should have evicted Preemptible leases")
-				}
-				if queued() != q0+1 {
-					t.Errorf("Standard grant queued %d times, want exactly 1", queued()-q0)
-				}
-
-				// Latency: the full pool is re-filled, then the top class goes
-				// straight to preemption — no queue wait at all.
-				fill()
-				q1 := queued()
-				if _, err := acquire(p, core.WithTenant(3, tenancy.Latency)); err != nil {
-					t.Errorf("Latency under pressure: got %v, want a preempted-in grant", err)
-					return
-				}
-				if preempts() <= stdPreempts {
-					t.Error("Latency grant preempted nothing; it should have evicted a Preemptible lease")
-				}
-				if queued() != q1 {
-					t.Errorf("Latency grant queued (%d -> %d); the top class must never wait", q1, queued())
-				}
-
-				// A queued request bounded by a shorter client-side timeout
-				// surfaces ErrTimeout promptly instead of hanging out the
-				// MN-side wait.
-				t0 := p.Now()
-				_, err := acquire(p, core.WithTenant(4, tenancy.Standard), core.WithTimeout(200*sim.Microsecond))
-				if !errors.Is(err, core.ErrTimeout) {
-					t.Errorf("queued request with short timeout: got %v, want ErrTimeout", err)
-				}
-				if waited := p.Now().Sub(t0); waited >= sim.Millisecond {
-					t.Errorf("timed-out request waited %v, want under the 1ms queue bound", waited)
-				}
-			})
-			for !done.Done() && rig.eng.Step() {
-			}
-			if !done.Done() {
-				t.Fatalf("admission-order scenario deadlocked")
+	rigs := []struct {
+		name string
+		mk   func(*testing.T) *orderRig
+	}{{"flat", flatRig}, {"hier", hierRig}}
+	for _, rc := range rigs {
+		t.Run(rc.name, func(t *testing.T) {
+			for _, kind := range orderKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					rig := rc.mk(t)
+					defer rig.close()
+					runClassOrdering(t, rig, kind)
+				})
 			}
 		})
+	}
+}
+
+// runClassOrdering drives the ordering contract for one resource kind
+// on one rig.
+func runClassOrdering(t *testing.T, rig *orderRig, kind orderKind) {
+	units := kind.units(rig)
+	// Preemptible's budget is half the pool (orderPolicy).
+	preemptibleUnits := units / 2
+	acquire := func(p *sim.Proc, opts ...core.Option) (core.Lease, error) {
+		return rig.plane.Acquire(p, kind.request(rig).With(opts...))
+	}
+	done := rig.app.Run("admission-order", func(p *sim.Proc) {
+		// Saturate the Preemptible budget, then fill the rest of the
+		// pool with untagged leases admission never sees.
+		holders := 0
+		for {
+			_, err := acquire(p, core.WithTenant(uint64(100+holders), tenancy.Preemptible))
+			if err != nil {
+				if !errors.Is(err, core.ErrAdmissionRejected) {
+					t.Errorf("holder %d: got %v, want ErrAdmissionRejected at budget", holders, err)
+				}
+				break
+			}
+			holders++
+		}
+		if holders != preemptibleUnits {
+			t.Errorf("Preemptible budget admitted %d leases, want %d", holders, preemptibleUnits)
+			return
+		}
+		fill := func() []core.Lease {
+			var got []core.Lease
+			for {
+				l, err := acquire(p)
+				if err != nil {
+					if !errors.Is(err, core.ErrUnavailable) {
+						t.Errorf("untagged fill: got %v, want ErrUnavailable when the pool drains", err)
+					}
+					return got
+				}
+				got = append(got, l)
+			}
+		}
+		untagged := fill()
+		if len(untagged) != units-preemptibleUnits {
+			t.Errorf("untagged fill took %d leases, want %d", len(untagged), units-preemptibleUnits)
+			return
+		}
+		// Hand one unit back: the pool now sits exactly at Standard's
+		// budget, still over it for one more lease.
+		untagged[len(untagged)-1].Release(p)
+
+		// Lowest class first: rejected outright, and never allowed to
+		// preempt its own class.
+		preempts := func() int64 { return rig.stats.Get(kind.preemptKey) }
+		queued := func() int64 { return rig.stats.Get("admit.queued") }
+		if _, err := acquire(p, core.WithTenant(1, tenancy.Preemptible)); !errors.Is(err, core.ErrAdmissionRejected) {
+			t.Errorf("Preemptible under pressure: got %v, want ErrAdmissionRejected", err)
+		}
+		if got := preempts(); got != 0 {
+			t.Errorf("Preemptible rejection triggered %d preemptions, want 0", got)
+		}
+
+		// Standard: queues for its bounded wait, then preempts in.
+		q0 := queued()
+		if _, err := acquire(p, core.WithTenant(2, tenancy.Standard)); err != nil {
+			t.Errorf("Standard under pressure: got %v, want a preempted-in grant", err)
+			return
+		}
+		stdPreempts := preempts()
+		if stdPreempts == 0 {
+			t.Error("Standard grant preempted nothing; it should have evicted Preemptible leases")
+		}
+		if queued() != q0+1 {
+			t.Errorf("Standard grant queued %d times, want exactly 1", queued()-q0)
+		}
+
+		// Latency: the full pool is re-filled, then the top class goes
+		// straight to preemption — no queue wait at all.
+		fill()
+		q1 := queued()
+		if _, err := acquire(p, core.WithTenant(3, tenancy.Latency)); err != nil {
+			t.Errorf("Latency under pressure: got %v, want a preempted-in grant", err)
+			return
+		}
+		if preempts() <= stdPreempts {
+			t.Error("Latency grant preempted nothing; it should have evicted a Preemptible lease")
+		}
+		if queued() != q1 {
+			t.Errorf("Latency grant queued (%d -> %d); the top class must never wait", q1, queued())
+		}
+
+		// A queued request bounded by a shorter client-side timeout
+		// surfaces ErrTimeout promptly instead of hanging out the
+		// MN-side wait.
+		t0 := p.Now()
+		_, err := acquire(p, core.WithTenant(4, tenancy.Standard), core.WithTimeout(200*sim.Microsecond))
+		if !errors.Is(err, core.ErrTimeout) {
+			t.Errorf("queued request with short timeout: got %v, want ErrTimeout", err)
+		}
+		if waited := p.Now().Sub(t0); waited >= sim.Millisecond {
+			t.Errorf("timed-out request waited %v, want under the 1ms queue bound", waited)
+		}
+	})
+	for !done.Done() && rig.eng.Step() {
+	}
+	if !done.Done() {
+		t.Fatalf("admission-order scenario deadlocked")
 	}
 }

@@ -121,6 +121,17 @@ func TestDecideDeviceUnits(t *testing.T) {
 	if dec, _ := cfg.Decide(Latency, 1, 0, 4); dec != Reject {
 		t.Errorf("device full-pool latency: got %v, want Reject", dec)
 	}
+	// A one-unit request has nothing to shrink to: the monitor treats
+	// every device verdict as admit, queue or reject.
+	for _, c := range Classes() {
+		for capacity := uint64(0); capacity <= 16; capacity++ {
+			for idle := uint64(0); idle <= capacity; idle++ {
+				if dec, _ := cfg.Decide(c, 1, idle, capacity); dec == Degrade {
+					t.Fatalf("Decide(%v, 1 unit, idle %d, capacity %d) degraded", c, idle, capacity)
+				}
+			}
+		}
+	}
 }
 
 func TestBackoff(t *testing.T) {

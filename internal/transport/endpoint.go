@@ -7,8 +7,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
@@ -62,7 +60,9 @@ type Endpoint struct {
 	pending  map[uint64]*pendingCall
 	nextID   uint64
 
-	// Stats tallies per-channel operation counts and latencies.
+	// Stats tallies per-channel operation counts and latencies, plus the
+	// packets dropped because nothing on this node could take them
+	// (drop.no_handler, drop.no_call_handler, drop.unknown_qpair).
 	Stats sim.Scoreboard
 }
 
@@ -189,7 +189,9 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 	default:
 		h, ok := ep.handlers[pkt.Kind]
 		if !ok {
-			panic(fmt.Sprintf("transport: node %v: no handler for %v", ep.ID, pkt))
+			// A peer's packet must not crash this node: drop and count it.
+			ep.Stats.Add("drop.no_handler", 1)
+			return
 		}
 		h(pkt)
 	}
@@ -199,7 +201,9 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 	h, ok := ep.calls[req.kind]
 	if !ok {
-		panic(fmt.Sprintf("transport: node %v: no call handler %q", ep.ID, req.kind))
+		// Unanswered: the caller's CallTimeout bounds its wait.
+		ep.Stats.Add("drop.no_call_handler", 1)
+		return
 	}
 	from := pkt.Src
 	ep.Eng.Go("rpc."+req.kind, func(p *sim.Proc) {
@@ -212,7 +216,8 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 func (ep *Endpoint) deliverQP(pkt *fabric.Packet, m *qpMsg) {
 	qp, ok := ep.qpairs[m.dstQID]
 	if !ok {
-		panic(fmt.Sprintf("transport: node %v: unknown qpair %d", ep.ID, m.dstQID))
+		ep.Stats.Add("drop.unknown_qpair", 1)
+		return
 	}
 	qp.arrive(pkt, m)
 }
