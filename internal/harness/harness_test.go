@@ -128,6 +128,37 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// A panic inside a simulated process reaches runTrial on the trial's
+// own goroutine, so it too becomes that trial's error.
+func TestProcPanicIsTrialError(t *testing.T) {
+	simTrial := func(bad bool) func(uint64) (Values, error) {
+		return func(uint64) (Values, error) {
+			e := sim.New()
+			defer e.Close()
+			never := sim.NewCompletion(e)
+			e.Go("parked", func(p *sim.Proc) { p.Await(never) })
+			e.Go("worker", func(p *sim.Proc) {
+				p.Sleep(10)
+				if bad {
+					panic("proc kaboom")
+				}
+			})
+			e.Run()
+			return Values{"now": float64(e.Now())}, nil
+		}
+	}
+	res := Execute("procpan", Spec{Trials: []Trial{
+		{ID: "panics", Seed: 1, Run: simTrial(true)},
+		{ID: "fine", Seed: 2, Run: simTrial(false)},
+	}}, Options{Parallel: 2})
+	if got := res.Trials[0].Error; !strings.HasPrefix(got, "panic: proc kaboom") {
+		t.Fatalf("panicking trial error = %q, want a recovered panic", got)
+	}
+	if res.Trials[1].Error != "" || res.Trials[1].Values["now"] != 10 {
+		t.Fatalf("sibling trial should have completed: %+v", res.Trials[1])
+	}
+}
+
 // The pool must never run more trials at once than Parallel allows.
 func TestPoolBounded(t *testing.T) {
 	for _, limit := range []int{1, 3} {

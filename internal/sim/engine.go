@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Handle identifies a cancelable scheduled event. The zero Handle is
 // never issued, so it can mark "no timer pending".
@@ -22,29 +19,18 @@ type Engine struct {
 	pool    eventPool
 	cancels map[Handle]*event // live cancelable events, by Handle
 	pending int               // queued events not yet fired or canceled
-	yield   chan struct{}
-	stopped chan struct{}
 	closed  bool
-	live    int // processes started and not yet finished
-	parked  int // processes currently blocked awaiting a wakeup
+	live    int // processes Go has been called for and not yet finished
 	fired   uint64
 
-	// unwind serializes the processes Close kills: each holds it from
-	// the moment it sees stopped until its goroutine exits, so their
-	// deferred cleanups never touch shared simulation state at once.
-	unwind sync.Mutex
-	// running counts process goroutines that have not exited; Close
-	// waits for it to drain.
-	running sync.WaitGroup
+	// procs holds the processes whose coroutine has started and not
+	// finished; Close stops them.
+	procs []*Proc
 }
 
 // New returns a fresh engine with virtual time zero and an empty queue.
 func New() *Engine {
-	return &Engine{
-		q:       newWheel(),
-		yield:   make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	return &Engine{q: newWheel()}
 }
 
 // Now reports the current virtual time.
@@ -157,7 +143,8 @@ func (e *Engine) Step() bool { return e.step(0, false) }
 
 // Run executes events until the queue drains. If simulated processes are
 // still blocked when the queue empties, they stay parked (see LiveProcs);
-// Close releases them.
+// Close releases them. A panic in a process propagates out of Run (or
+// Step, RunUntil, RunFor) to its caller; after that only Close is valid.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -176,25 +163,38 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Dur) { e.RunUntil(e.now.Add(d)) }
 
-// Close terminates any parked processes and returns once their
-// goroutines have exited, so nothing of the simulation outlives it. It
-// is safe to call multiple times, but not from inside a process. After
-// Close the engine must not be used.
+// Close terminates any parked processes, one at a time in a fixed
+// order, and returns once each has unwound, so nothing of the simulation
+// outlives it. It is safe to call multiple times, but not from inside a
+// process. After Close the engine must not be used.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	// Killed processes need no baton: park() and waitBaton() select on
-	// stopped, and unwind one at a time under e.unwind.
-	close(e.stopped)
-	e.running.Wait()
+	for len(e.procs) > 0 {
+		p := e.procs[len(e.procs)-1]
+		e.unlink(p)
+		p.stop()
+	}
 }
 
-// resume hands the execution baton to process p and blocks until p parks
-// again or finishes. It must only be called from engine context (inside
-// an event callback).
-func (e *Engine) resume(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.yield
+// resume runs process p until it parks again or finishes. It must only
+// be called from engine context (inside an event callback).
+func (e *Engine) resume(p *Proc) { p.next() }
+
+// link adds a started process to e.procs.
+func (e *Engine) link(p *Proc) {
+	p.slot = len(e.procs)
+	e.procs = append(e.procs, p)
+}
+
+// unlink removes p from e.procs in O(1) by moving the last entry into
+// its slot.
+func (e *Engine) unlink(p *Proc) {
+	n := len(e.procs) - 1
+	last := e.procs[n]
+	e.procs[p.slot], last.slot = last, p.slot
+	e.procs[n] = nil
+	e.procs = e.procs[:n]
 }

@@ -29,6 +29,10 @@ func benchDelay(rng *RNG) Dur {
 // benchmark op is exactly one schedule plus one dispatch. Reported
 // events/sec is the engine-core ceiling for the serving scenarios;
 // allocs/op is the pooling gate (steady state must be zero-alloc).
+//
+// The procs/ sub-benchmarks run the same population as simulated
+// processes, each in a Sleep loop, so every op also carries one process
+// switch: resume into the process and park back out.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for _, nodes := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("n%d", nodes), func(b *testing.B) {
@@ -39,17 +43,37 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			for i := 0; i < nodes*8; i++ {
 				e.Schedule(benchDelay(rng), fn)
 			}
-			// Warm the scheduler (pool, buckets) before measuring.
-			for i := 0; i < 100_000; i++ {
-				e.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+			measureSteps(b, e)
 		})
 	}
+	for _, nodes := range []int{8, 64, 256} {
+		b.Run(fmt.Sprintf("procs/n%d", nodes), func(b *testing.B) {
+			e := New()
+			defer e.Close()
+			rng := NewRNG(1)
+			for i := 0; i < nodes*8; i++ {
+				e.Go("sleeper", func(p *Proc) {
+					for {
+						p.Sleep(benchDelay(rng))
+					}
+				})
+			}
+			measureSteps(b, e)
+		})
+	}
+}
+
+// measureSteps warms the scheduler (pool, buckets, process starts) and
+// then times b.N steps of e, reporting events/sec.
+func measureSteps(b *testing.B, e *Engine) {
+	for i := 0; i < 100_000; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }

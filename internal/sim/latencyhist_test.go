@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // latHistEqual compares every externally visible property of two
 // histograms exactly (no tolerance: the merge contract is exactness).
@@ -155,4 +158,21 @@ func TestLatencyHistEmptyAndZero(t *testing.T) {
 	var other LatencyHist
 	other.Merge(&h)
 	latHistEqual(t, "merge into empty", &other, &h)
+}
+
+// TestLatencyHistCountsFollowRange: bucket storage grows with the
+// largest observation, a whole octave at a time, up to the full range.
+func TestLatencyHistCountsFollowRange(t *testing.T) {
+	var h LatencyHist
+	h.Add(5_000)
+	if n := len(h.counts); n != (latIndex(5_000)|(latSubCount-1))+1 {
+		t.Fatalf("5µs histogram holds %d buckets", n)
+	}
+	h.Add(math.MaxInt64)
+	if n := len(h.counts); n != latIndex(math.MaxInt64)+1 || n > latHistBuckets {
+		t.Fatalf("full-range histogram holds %d buckets", n)
+	}
+	if h.Quantile(50) != latUpper(latIndex(5_000)) || h.Quantile(100) != math.MaxInt64 {
+		t.Fatalf("quantiles after growth: p50 %d p100 %d", h.Quantile(50), h.Quantile(100))
+	}
 }

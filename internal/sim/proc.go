@@ -1,20 +1,23 @@
 package sim
 
+import "iter"
+
 // Proc is a simulated process: workload code that can block on virtual
 // time (Sleep), on completions, queues and semaphores, while the engine
 // interleaves it deterministically with every other process.
 //
-// A Proc's function runs on its own goroutine, but the engine guarantees
-// that at most one goroutine in the whole simulation executes at a time,
-// so process code may freely touch shared simulation state without locks.
+// A Proc's function runs as a coroutine (iter.Pull): the engine resumes
+// it by calling next and it hands control back by calling yield, so
+// exactly one of the engine and its processes runs at any moment and
+// process code may freely touch shared simulation state without locks.
 type Proc struct {
 	Eng    *Engine
 	name   string
-	wake   chan struct{}
-	wakeFn func() // cached resume thunk: one closure per proc, not per park
-	dead   bool
-	// unwinding is set once the process holds Eng.unwind after Close.
-	unwinding bool
+	next   func() (struct{}, bool) // resume: runs the process until it parks or returns
+	stop   func()                  // kill: makes a pending yield report false
+	yield  func(struct{}) bool     // park: returns control to the engine
+	wakeFn func()                  // cached resume thunk: one closure per proc, not per park
+	slot   int                     // index in Eng.procs while started and unfinished
 }
 
 // procStopped is the panic payload used to unwind a process killed by
@@ -33,67 +36,37 @@ func (p *Proc) Now() Time { return p.Eng.Now() }
 // fn returns.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
 	done := NewCompletion(e)
-	p := &Proc{Eng: e, name: name, wake: make(chan struct{})}
+	p := &Proc{Eng: e, name: name}
 	p.wakeFn = func() { e.resume(p) }
 	e.live++
 	e.Schedule(0, func() {
-		e.running.Add(1)
-		go func() {
-			defer e.running.Done()
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(procStopped); ok {
-						if p.unwinding {
-							e.unwind.Unlock()
-						}
-						return // engine shut down; exit silently
+					if _, ok := r.(procStopped); !ok {
+						panic(r)
 					}
-					panic(r)
 				}
 			}()
-			p.waitBaton()
+			p.yield = yield
 			fn(p)
 			p.finish(done)
-		}()
+		})
+		e.link(p)
 		e.resume(p)
 	})
 	return done
 }
 
-// waitBaton blocks until the engine hands this process the baton.
-func (p *Proc) waitBaton() {
-	select {
-	case <-p.wake:
-	case <-p.Eng.stopped:
-		p.beginUnwind()
-		panic(procStopped{})
-	}
-}
-
-// beginUnwind takes the engine's unwind lock before a killed process
-// unwinds. A deferred cleanup that parks again while unwinding lands
-// here a second time and must not relock.
-func (p *Proc) beginUnwind() {
-	if !p.unwinding {
-		p.unwinding = true
-		p.Eng.unwind.Lock()
-	}
-}
-
-// park returns the baton to the engine and blocks until resumed. Process
+// park returns control to the engine and blocks until resumed. Process
 // code calls this (via Sleep/Await/...) after arranging for a wakeup.
+// Once Close has stopped the process, yield reports false — also for a
+// deferred cleanup that parks again while unwinding — and the process
+// unwinds through procStopped.
 func (p *Proc) park() {
-	e := p.Eng
-	e.parked++
-	select {
-	case e.yield <- struct{}{}:
-	case <-e.stopped:
-		p.beginUnwind()
-		e.parked--
+	if !p.yield(struct{}{}) {
 		panic(procStopped{})
 	}
-	p.waitBaton()
-	e.parked--
 }
 
 // unparkAfter schedules this process to resume d from now. The cached
@@ -104,16 +77,12 @@ func (p *Proc) unparkAfter(d Dur) {
 	e.At(e.now.Add(d), p.wakeFn)
 }
 
-// finish marks the process done and returns the baton for the last time.
+// finish marks the process done; its coroutine returns right after.
 func (p *Proc) finish(done *Completion) {
 	e := p.Eng
-	p.dead = true
 	e.live--
+	e.unlink(p)
 	done.Complete()
-	select {
-	case e.yield <- struct{}{}:
-	case <-e.stopped:
-	}
 }
 
 // Sleep blocks the process for d of virtual time.

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcSleepAdvancesTime(t *testing.T) {
 	e := New()
@@ -185,4 +189,75 @@ func TestProcName(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// TestProcPanicReachesRunCaller: a panic in process code surfaces from
+// Run on the caller's goroutine instead of killing the program, and
+// Close still stops the processes left parked.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := New()
+	never := NewCompletion(e)
+	cleaned := false
+	e.Go("parked", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Await(never)
+	})
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want boom", r)
+			}
+		}()
+		e.Run()
+		t.Error("Run returned without the process panic")
+	}()
+	e.Close()
+	if !cleaned {
+		t.Fatal("Close did not unwind the parked process")
+	}
+}
+
+// TestEngineCloseLeaksNothing: processes that finished leave nothing
+// behind, Close unwinds every parked one, a process whose start event
+// never fired needs no unwinding, and no coroutine outlives Close.
+func TestEngineCloseLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	for i := 0; i < 10_000; i++ {
+		e.Go("short", func(p *Proc) { p.Sleep(Dur(i % 7)) })
+	}
+	never := NewCompletion(e)
+	cleanups := 0
+	for i := 0; i < 8; i++ {
+		e.Go("parked", func(p *Proc) {
+			defer func() { cleanups++ }()
+			p.Await(never)
+		})
+	}
+	e.Run()
+	if e.LiveProcs() != 8 {
+		t.Fatalf("LiveProcs = %d after Run, want 8", e.LiveProcs())
+	}
+	if len(e.procs) != 8 {
+		t.Fatalf("live-process list holds %d after Run, want the 8 parked", len(e.procs))
+	}
+	e.Go("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	e.Close()
+	if cleanups != 8 {
+		t.Fatalf("%d of 8 parked cleanups ran", cleanups)
+	}
+	if len(e.procs) != 0 {
+		t.Fatal("live-process list not empty after Close")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -136,11 +136,14 @@ func log2(v uint64) int {
 // serving experiments rely on that to keep harness parallelism
 // byte-identical. The zero value is ready to use.
 type LatencyHist struct {
-	n      int64
-	sum    int64
-	min    int64
-	max    int64
-	counts [latHistBuckets]int64
+	n   int64
+	sum int64
+	min int64
+	max int64
+	// counts covers buckets 0 up to the highest one used, rounded up to
+	// a whole octave, so a histogram's memory follows the range it saw
+	// rather than all latHistBuckets.
+	counts []int64
 }
 
 const (
@@ -185,7 +188,18 @@ func (h *LatencyHist) Add(v int64) {
 	}
 	h.n++
 	h.sum += v
-	h.counts[latIndex(v)]++
+	i := latIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i)
+	}
+	h.counts[i]++
+}
+
+// grow extends counts to cover bucket idx, to the end of its octave.
+func (h *LatencyHist) grow(idx int) {
+	c := make([]int64, (idx|(latSubCount-1))+1)
+	copy(c, h.counts)
+	h.counts = c
 }
 
 // AddDur records a duration observation.
@@ -265,6 +279,9 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	}
 	h.n += o.n
 	h.sum += o.sum
+	if len(o.counts) > len(h.counts) {
+		h.grow(len(o.counts) - 1)
+	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
@@ -310,6 +327,9 @@ func RestoreLatencyHist(sum, min, max int64, buckets []LatencyBucket) *LatencyHi
 		if b.Index < 0 || b.Index >= latHistBuckets {
 			panic(fmt.Sprintf("sim: latency bucket index %d out of range", b.Index))
 		}
+		if b.Index >= len(h.counts) {
+			h.grow(b.Index)
+		}
 		h.counts[b.Index] += b.Count
 		h.n += b.Count
 	}
@@ -321,20 +341,6 @@ func (h *LatencyHist) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g p50=%d p90=%d p99=%d p999=%d max=%d",
 		h.n, h.Mean(), h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Quantile(99.9), h.Max())
 }
-
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	v int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v }
 
 // Scoreboard is a string-keyed set of counters used by components to
 // export ad-hoc metrics without new fields. The zero value is ready to

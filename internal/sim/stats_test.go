@@ -90,15 +90,6 @@ func TestHistEmptyPercentile(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d", c.Value())
-	}
-}
-
 func TestScoreboard(t *testing.T) {
 	var s Scoreboard
 	s.Add("b", 2)

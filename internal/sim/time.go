@@ -3,11 +3,10 @@
 // blocking simulated processes, deterministic random numbers, and the
 // timing parameters calibrated against the paper's hardware prototype.
 //
-// The engine is strictly single-threaded from the simulation's point of
-// view: although processes run on goroutines for readability, a baton is
-// passed so that exactly one of (engine, some process) executes at any
-// instant. Given the same seed and the same program, every run produces
-// the identical event trace.
+// The engine is strictly single-threaded: processes are coroutines that
+// the engine resumes and that yield back to it, so exactly one of
+// (engine, some process) executes at any instant. Given the same seed
+// and the same program, every run produces the identical event trace.
 package sim
 
 import "fmt"
