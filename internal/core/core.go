@@ -24,8 +24,7 @@ type Config struct {
 	Params       *sim.Params      // nil: sim.Default()
 	Topology     *fabric.Topology // nil: Mesh3D(2,2,2)
 	NodeMemBytes uint64           // 0: 1 GiB
-	MonitorNode  fabric.NodeID
-	Seed         uint64 // 0: 1
+	Seed         uint64           // 0: 1
 	// StartAgents launches heartbeat daemons on every node (required for
 	// MN-brokered sharing; controlled experiments may skip them).
 	StartAgents bool
@@ -60,11 +59,6 @@ type Config struct {
 	// hot-plug latency (see monitor.Monitor.EnableSparePool).
 	SpareRegionBytes uint64
 	SparesPerDonor   int
-	// AdaptiveSpares scales the spare pool's per-donor count with the
-	// measured crash rate when SpareRegionBytes > 0: SparesPerDonor
-	// becomes the floor and AdaptiveSpares the ceiling (see
-	// monitor.Monitor.EnableAdaptiveSparePool). 0 keeps the pool fixed.
-	AdaptiveSpares int
 	// Admission installs the MN's tenancy admission policy (per-class
 	// budgets, queue bounds, preemption; see tenancy.Default). nil — the
 	// default — disables admission entirely: every request, tagged or
@@ -119,7 +113,7 @@ func NewCluster(cfg Config) *Cluster {
 		a.Telemetry = cfg.Telemetry
 		c.Agents = append(c.Agents, a)
 	}
-	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, net.Topo)
+	c.MN = monitor.New(c.Nodes[0].EP, net.Topo)
 	// Surface the MN's recovery transitions (revocations, donor
 	// failovers) on the plane's event stream.
 	c.MN.Observe(c.hub.forwardRecovery)
@@ -132,7 +126,7 @@ func NewCluster(cfg Config) *Cluster {
 	c.MN.Admission = cfg.Admission
 	if cfg.StartAgents {
 		for _, a := range c.Agents {
-			a.Start(cfg.MonitorNode)
+			a.Start(0)
 		}
 	}
 	if cfg.StartRecovery {
@@ -143,11 +137,7 @@ func NewCluster(cfg Config) *Cluster {
 		if per <= 0 {
 			per = 1
 		}
-		if cfg.AdaptiveSpares > per {
-			c.MN.EnableAdaptiveSparePool(cfg.SpareRegionBytes, per, cfg.AdaptiveSpares)
-		} else {
-			c.MN.EnableSparePool(cfg.SpareRegionBytes, per)
-		}
+		c.MN.EnableSparePool(cfg.SpareRegionBytes, per)
 	}
 	if cfg.MigrateInterval > 0 {
 		c.MN.MigrateUtil = cfg.MigrateUtil

@@ -180,9 +180,6 @@ var churnFamily = family[serving.ChurnConfig, ChurnCellResult]{
 	},
 }
 
-// ServingChurn runs the full availability-under-churn sweep.
-func ServingChurn() *ChurnResult { return runSweep[ChurnCellResult]("serving-churn") }
-
 // ChurnSmoke runs the single-cell CI subset.
 func ChurnSmoke() *ChurnResult { return runSweep[ChurnCellResult]("churn-smoke") }
 

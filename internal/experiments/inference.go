@@ -163,9 +163,3 @@ var inferFamily = family[serving.Config, InferenceCellResult]{
 			c.P50.String(), c.P99.String(), c.P999.String())
 	},
 }
-
-// ServingInference runs the full device-plane serving sweep.
-func ServingInference() *InferenceResult { return runSweep[InferenceCellResult]("serving-inference") }
-
-// InferenceSmoke runs the single-cell CI subset.
-func InferenceSmoke() *InferenceResult { return runSweep[InferenceCellResult]("inference-smoke") }

@@ -61,8 +61,5 @@ func scaleSmokeCells() []cell[serving.Config] {
 	return []cell[serving.Config]{c}
 }
 
-// ServingScale runs the full rack-scale sweep.
-func ServingScale() *ServingResult { return runSweep[ServingCellResult]("serving-scale") }
-
 // ScaleSmoke runs the single-cell CI subset.
 func ScaleSmoke() *ServingResult { return runSweep[ServingCellResult]("scale-smoke") }

@@ -187,9 +187,3 @@ var tenancyFamily = family[serving.TenancyConfig, TenancyCellResult]{
 		}
 	},
 }
-
-// ServingTenancy runs the full admission-plane serving sweep.
-func ServingTenancy() *TenancyResult { return runSweep[TenancyCellResult]("serving-tenancy") }
-
-// TenancySmoke runs the single-cell CI subset.
-func TenancySmoke() *TenancyResult { return runSweep[TenancyCellResult]("tenancy-smoke") }

@@ -249,7 +249,7 @@ func TestCreditStallsUnderBurst(t *testing.T) {
 	}
 }
 
-func TestNetworkTrafficAccounting(t *testing.T) {
+func TestNetworkLinkStatsAccounting(t *testing.T) {
 	eng, net, _ := testNet(t, Pair())
 	eng.Schedule(0, func() {
 		net.Send(&Packet{Src: 0, Dst: 1, Kind: "crma.req", Size: 16})
@@ -257,11 +257,14 @@ func TestNetworkTrafficAccounting(t *testing.T) {
 		net.Send(&Packet{Src: 1, Dst: 0, Kind: "crma.resp", Size: 64})
 	})
 	eng.Run()
-	if got := net.Traffic.Get("crma.req.pkts"); got != 2 {
-		t.Fatalf("crma.req.pkts = %d, want 2", got)
+	if s := net.Link(0, 1).Stats(); s.Packets != 2 || s.Bytes != 32 {
+		t.Fatalf("link 0->1 carried %d pkts / %d B, want 2 / 32", s.Packets, s.Bytes)
 	}
-	if got := net.Traffic.Get("crma.resp.bytes"); got != 64 {
-		t.Fatalf("crma.resp.bytes = %d, want 64", got)
+	if s := net.Link(1, 0).Stats(); s.Packets != 1 || s.Bytes != 64 {
+		t.Fatalf("link 1->0 carried %d pkts / %d B, want 1 / 64", s.Packets, s.Bytes)
+	}
+	if s := net.TotalLinkStats(); s.Packets != 3 || s.Bytes != 96 {
+		t.Fatalf("TotalLinkStats = %d pkts / %d B, want 3 / 96", s.Packets, s.Bytes)
 	}
 	if net.Lat.N() != 3 {
 		t.Fatalf("latency samples = %d, want 3", net.Lat.N())

@@ -21,8 +21,6 @@ type Network struct {
 
 	// Lat histograms end-to-end packet latency (inject -> local delivery).
 	Lat sim.Hist
-	// Traffic counts delivered packets and bytes by Kind.
-	Traffic sim.Scoreboard
 }
 
 // NewNetwork builds the fabric for a topology. Per-node delivery handlers
@@ -84,8 +82,6 @@ func (n *Network) Nodes() int { return n.Topo.N }
 func (n *Network) SetDelivery(id NodeID, fn DeliverFunc) {
 	n.switches[id].local = func(pkt *Packet) {
 		n.Lat.AddDur(n.Eng.Now().Sub(pkt.Injected))
-		n.Traffic.Add(pkt.Kind+".pkts", 1)
-		n.Traffic.Add(pkt.Kind+".bytes", int64(pkt.Size))
 		fn(pkt)
 	}
 }

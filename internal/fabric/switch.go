@@ -37,10 +37,6 @@ type Switch struct {
 	// modeled independently (their PHYs still ack at the datalink layer),
 	// so link faults compose orthogonally with node faults.
 	down bool
-
-	delivered int64
-	forwarded int64
-	dropped   int64
 }
 
 func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID, next []NodeID) *Switch {
@@ -80,16 +76,12 @@ func (s *Switch) SetDown(down bool) { s.down = down }
 // IsDown reports whether the node is marked crashed.
 func (s *Switch) IsDown() bool { return s.down }
 
-// Dropped reports how many packets the switch discarded while down.
-func (s *Switch) Dropped() int64 { return s.dropped }
-
 // Inject sends a packet from this node's local port into the fabric.
 func (s *Switch) Inject(pkt *Packet) {
 	if pkt.Src != s.id {
 		panic(fmt.Sprintf("fabric: inject at %v of packet from %v", s.id, pkt.Src))
 	}
 	if s.down {
-		s.dropped++
 		return
 	}
 	pkt.Injected = s.eng.Now()
@@ -109,7 +101,6 @@ func (s *Switch) receive(pkt *Packet, _ *Link) {
 // route forwards a packet toward its destination or delivers it locally.
 func (s *Switch) route(pkt *Packet) {
 	if s.down {
-		s.dropped++
 		return
 	}
 	if pkt.Dst == s.id {
@@ -117,13 +108,11 @@ func (s *Switch) route(pkt *Packet) {
 			// The node can crash between route() and a deliverExtra-delayed
 			// delivery; power-cut semantics mean the packet dies with it.
 			if s.down {
-				s.dropped++
 				return
 			}
 			if s.local == nil {
 				panic(fmt.Sprintf("fabric: node %v has no delivery handler for %v", s.id, pkt))
 			}
-			s.delivered++
 			s.local(pkt)
 		}
 		if s.deliverExtra > 0 {
@@ -143,7 +132,6 @@ func (s *Switch) route(pkt *Packet) {
 	if !ok {
 		panic(fmt.Sprintf("fabric: node %v has no port toward %v", s.id, next))
 	}
-	s.forwarded++
 	link.send(pkt)
 }
 

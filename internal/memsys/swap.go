@@ -196,12 +196,3 @@ func (s *Paged) makeRoom(p *sim.Proc, n int) {
 		}
 	}
 }
-
-// FaultRatio reports major faults / total accesses.
-func (s *SwapStats) FaultRatio() float64 {
-	total := s.MinorHits + s.MajorFault
-	if total == 0 {
-		return 0
-	}
-	return float64(s.MajorFault) / float64(total)
-}

@@ -47,7 +47,7 @@ type pathRelief struct {
 
 // StartMigration launches the MN's hot-lease scan at the given period
 // (0 selects 500 µs). The loop keeps the event queue non-empty forever,
-// so programs that drive the engine with Run must StopMigration first.
+// so drive the engine with RunFor or step-until-done, not Run.
 // Without telemetry-enabled agents the loop never sees a hot path and
 // does nothing.
 func (m *Monitor) StartMigration(interval sim.Dur) {
@@ -59,15 +59,12 @@ func (m *Monitor) StartMigration(interval sim.Dur) {
 		interval = 500 * sim.Microsecond
 	}
 	m.EP.Eng.Go("mn-migrate", func(p *sim.Proc) {
-		for m.migrationOn {
+		for {
 			p.Sleep(interval)
 			m.migrateScan(p)
 		}
 	})
 }
-
-// StopMigration ends the migration loop after the current scan.
-func (m *Monitor) StopMigration() { m.migrationOn = false }
 
 // migrateScan finds the lease whose recipient→donor path has the
 // hottest windowed bottleneck above the threshold and tries to relieve

@@ -149,7 +149,7 @@ type Monitor struct {
 	// cancellations (keyed by the borrow's own resolution key).
 	pendingRackFrees map[int]*rackFreeReq
 	pendingCancels   map[borrowKey]*borrowCancelReq
-	// rackBeatOn gates the rack-level report loop.
+	// rackBeatOn keeps StartRackBeat from launching a second report loop.
 	rackBeatOn bool
 
 	// recovery loop state.
@@ -173,16 +173,8 @@ type Monitor struct {
 	sparePer     int
 	spares       map[fabric.NodeID][]spareRegion
 	sparePending map[fabric.NodeID]int
-	// Adaptive sizing state (EnableAdaptiveSparePool): the sweep scales
-	// sparePer between spareMin and spareMax from an EWMA of the
-	// per-sweep crash count.
-	spareAdaptive  bool
-	spareMin       int
-	spareMax       int
-	spareCrashEWMA float64
-	spareLastCrash int64
 
-	// Migration loop state (migrate.go).
+	// migrationOn keeps StartMigration from launching a second scan loop.
 	migrationOn bool
 	// MigrateUtil is the windowed path-utilization threshold above which
 	// a lease is considered hot (0 selects the default, 0.75);

@@ -93,11 +93,9 @@ func (m *Monitor) sweep(p *sim.Proc) {
 		m.retryRackFrees(p)
 	}
 	// Spare-pool upkeep (no-ops unless EnableSparePool ran): drop pool
-	// entries whose donor died or rebooted, rescale the pool depth from
-	// this sweep's crash delta (adaptive pools only), then replace
-	// consumed or pruned spares asynchronously.
+	// entries whose donor died or rebooted, then replace consumed or
+	// pruned spares asynchronously.
 	m.pruneSpares()
-	m.adaptSpares()
 	m.topUpSpares()
 }
 

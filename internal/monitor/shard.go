@@ -171,15 +171,6 @@ func NewRoot(ep *transport.Endpoint) *Root {
 // Node reports the root MN's node id.
 func (rt *Root) Node() fabric.NodeID { return rt.EP.ID }
 
-// RackStatusOf reports a copy of a rack's registry row.
-func (rt *Root) RackStatusOf(rack int) (RackStatus, bool) {
-	rs, ok := rt.racks[rack]
-	if !ok {
-		return RackStatus{}, false
-	}
-	return *rs, true
-}
-
 // RackAlive reports whether rackbeats from rack are recent.
 func (rt *Root) RackAlive(rack int) bool {
 	rs, ok := rt.racks[rack]
@@ -718,7 +709,7 @@ func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) 
 	}
 	m.EP.Eng.Go(fmt.Sprintf("submn@%v-rackbeat", m.EP.ID), func(p *sim.Proc) {
 		p.Sleep(sim.Dur(m.Topo.N+2+rack) * sim.Millisecond)
-		for m.rackBeatOn {
+		for {
 			m.sendRackBeat(p, interval)
 			// Parked upstream teardowns (lost frees/cancels) retry on the
 			// beat, not only in the recovery sweep: the beat loop is the
@@ -729,10 +720,6 @@ func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) 
 		}
 	})
 }
-
-// StopRackBeat ends the rack-level report loop after the current period
-// (escalation stays enabled).
-func (m *Monitor) StopRackBeat() { m.rackBeatOn = false }
 
 // sendRackBeat sends one rack-level report to the root MN, aggregating
 // the rack's telemetry (hottest reported link window) one level up so

@@ -40,52 +40,6 @@ func (m *Monitor) EnableSparePool(regionSize uint64, perDonor int) {
 	m.topUpSpares()
 }
 
-// EnableAdaptiveSparePool turns on spare-region pools whose per-donor
-// depth tracks the measured crash rate: the pool starts at minPer
-// regions per donor and the recovery sweep rescales it between minPer
-// and maxPer from an EWMA of the crashes (deaths + reboot recoveries)
-// each sweep observes. Quiet fleets keep only the floor carved;
-// crash-heavy windows ramp toward the ceiling and decay back once the
-// fleet settles. Requires StartRecovery for the sizing to ever adapt.
-func (m *Monitor) EnableAdaptiveSparePool(regionSize uint64, minPer, maxPer int) {
-	if maxPer < minPer {
-		panic("monitor: EnableAdaptiveSparePool needs maxPer >= minPer")
-	}
-	m.EnableSparePool(regionSize, minPer)
-	m.spareAdaptive = true
-	m.spareMin = minPer
-	m.spareMax = maxPer
-	m.spareLastCrash = m.crashCount()
-}
-
-// crashCount totals the crash events the recovery plane has recorded.
-func (m *Monitor) crashCount() int64 {
-	return m.Stats.Get("recover.deaths") + m.Stats.Get("recover.reboot_recoveries")
-}
-
-// adaptSpares rescales the per-donor pool depth from this sweep's crash
-// delta, smoothed by an EWMA so one bad sweep does not thrash the carve
-// machinery and a quiet stretch decays the depth gradually. Runs from
-// the recovery sweep, just before top-up.
-func (m *Monitor) adaptSpares() {
-	if !m.spareAdaptive {
-		return
-	}
-	crashes := m.crashCount()
-	delta := crashes - m.spareLastCrash
-	m.spareLastCrash = crashes
-	const alpha = 0.5
-	m.spareCrashEWMA = alpha*float64(delta) + (1-alpha)*m.spareCrashEWMA
-	per := m.spareMin + int(m.spareCrashEWMA+0.5)
-	if per > m.spareMax {
-		per = m.spareMax
-	}
-	if per != m.sparePer {
-		m.sparePer = per
-		m.Stats.Add("spare.resized", 1)
-	}
-}
-
 // SpareCount reports how many spares are currently parked on a donor
 // (provisioned and not yet consumed; in-flight carves excluded).
 func (m *Monitor) SpareCount(donor fabric.NodeID) int { return len(m.spares[donor]) }

@@ -9,22 +9,19 @@ import (
 )
 
 // State is one JSON-marshallable snapshot of a live cluster's control
-// plane: the registry (donors), the allocation tables (leases), the
-// root MN's delegation table, rack health, link telemetry, and the
-// MN scoreboards. Snapshots are built ON the simulation goroutine
-// (SnapshotFlat/SnapshotHier read monitor state that only that
+// plane: the registry (donors), the allocation table (leases), link
+// telemetry, and the MN scoreboard. Snapshots are built ON the
+// simulation goroutine (SnapshotFlat reads monitor state that only that
 // goroutine may touch) and handed to readers through a StateCell.
 type State struct {
 	Now   sim.Time `json:"now_ns"`
-	Shape string   `json:"shape"` // "flat" or "hier"
+	Shape string   `json:"shape"` // "flat"
 
-	Donors      []DonorState         `json:"donors"`
-	Leases      []monitor.Allocation `json:"leases"`
-	Delegations []monitor.Delegation `json:"delegations,omitempty"`
-	Racks       []monitor.RackStatus `json:"racks,omitempty"`
-	Links       []monitor.LinkStatus `json:"links,omitempty"`
-	Telemetry   TelemetrySummary     `json:"telemetry"`
-	Stats       map[string]int64     `json:"stats,omitempty"`
+	Donors    []DonorState         `json:"donors"`
+	Leases    []monitor.Allocation `json:"leases"`
+	Links     []monitor.LinkStatus `json:"links,omitempty"`
+	Telemetry TelemetrySummary     `json:"telemetry"`
+	Stats     map[string]int64     `json:"stats,omitempty"`
 }
 
 // DonorState is the JSON face of one RRT row.
@@ -45,45 +42,16 @@ type TelemetrySummary struct {
 	Load         map[int]int `json:"load,omitempty"`
 }
 
-// SnapshotFlat captures a flat cluster's control plane. Call only
-// from the simulation goroutine.
+// SnapshotFlat captures a flat cluster's control plane: the MN's
+// RRT/RAT, link table and telemetry view. Call only from the simulation
+// goroutine.
 func SnapshotFlat(c *core.Cluster) *State {
+	m := c.MN
 	st := &State{
 		Now:   c.Eng.Now(),
 		Shape: "flat",
-		Stats: scoreboardMap(&c.MN.Stats),
+		Stats: scoreboardMap(&m.Stats),
 	}
-	fillMonitor(st, c.MN)
-	return st
-}
-
-// SnapshotHier captures a rack-scale cluster's control plane: every
-// sub-MN's tables merged, plus the root's delegation table and rack
-// registry. Call only from the simulation goroutine.
-func SnapshotHier(c *core.HierCluster) *State {
-	st := &State{
-		Now:   c.Eng.Now(),
-		Shape: "hier",
-		Stats: scoreboardMap(&c.Root.Stats),
-	}
-	for _, sub := range c.Subs {
-		fillMonitor(st, sub)
-		for k, v := range scoreboardMap(&sub.Stats) {
-			st.Stats[k] += v
-		}
-	}
-	st.Delegations = c.Root.Delegations()
-	for r := 0; r < c.Hier.Racks; r++ {
-		if rs, ok := c.Root.RackStatusOf(r); ok {
-			st.Racks = append(st.Racks, rs)
-		}
-	}
-	return st
-}
-
-// fillMonitor appends one Monitor's RRT/RAT/TST and telemetry view
-// into st.
-func fillMonitor(st *State, m *monitor.Monitor) {
 	for _, reg := range m.Registrations() {
 		d := DonorState{
 			Node: int(reg.Node), IdleBytes: reg.IdleBytes,
@@ -97,18 +65,17 @@ func fillMonitor(st *State, m *monitor.Monitor) {
 		}
 		st.Donors = append(st.Donors, d)
 	}
-	st.Leases = append(st.Leases, m.Allocations()...)
-	st.Links = append(st.Links, m.Links()...)
+	st.Leases = append(st.Leases, m.Allocations()...) // nil, not [], when empty
+	st.Links = m.Links()
 	v := m.View()
-	if v.HasTelemetry {
-		st.Telemetry.HasTelemetry = true
-	}
-	for id, n := range v.Load {
-		if st.Telemetry.Load == nil {
-			st.Telemetry.Load = make(map[int]int)
+	st.Telemetry.HasTelemetry = v.HasTelemetry
+	if len(v.Load) > 0 {
+		st.Telemetry.Load = make(map[int]int, len(v.Load))
+		for id, n := range v.Load {
+			st.Telemetry.Load[int(id)] = n
 		}
-		st.Telemetry.Load[int(id)] += n
 	}
+	return st
 }
 
 // scoreboardMap copies a scoreboard into a plain map.

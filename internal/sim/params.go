@@ -16,10 +16,8 @@ package sim
 // the link model.
 type Params struct {
 	// CPU
-	CPUGHz       float64 // core clock, GHz (prototype: 0.667)
-	OpsPerCycle  float64 // sustained simple ops per cycle for workload compute
-	ContextSw    Dur     // OS context switch / thread wakeup
-	InterruptLat Dur     // interrupt delivery to handler start
+	CPUGHz      float64 // core clock, GHz (prototype: 0.667)
+	OpsPerCycle float64 // sustained simple ops per cycle for workload compute
 
 	// Fabric: physical + datalink + network layers.
 	LinkGbps    float64 // per-port serial bandwidth, Gbit/s
@@ -90,10 +88,8 @@ type Params struct {
 // from this base.
 func Default() Params {
 	return Params{
-		CPUGHz:       0.667,
-		OpsPerCycle:  1.0,
-		ContextSw:    8 * Microsecond,
-		InterruptLat: 3 * Microsecond,
+		CPUGHz:      0.667,
+		OpsPerCycle: 1.0,
 
 		LinkGbps:    5.0,
 		LinkPorts:   6,

@@ -6,73 +6,15 @@ import (
 	"sort"
 )
 
-// RunningStat accumulates count/mean/variance/min/max in one pass
-// (Welford's algorithm). The zero value is ready to use.
-type RunningStat struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (s *RunningStat) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// AddDur records a duration observation in nanoseconds.
-func (s *RunningStat) AddDur(d Dur) { s.Add(float64(d)) }
-
-// N reports the number of observations.
-func (s *RunningStat) N() int64 { return s.n }
-
-// Mean reports the arithmetic mean (0 with no observations).
-func (s *RunningStat) Mean() float64 { return s.mean }
-
-// Min reports the smallest observation (0 with no observations).
-func (s *RunningStat) Min() float64 { return s.min }
-
-// Max reports the largest observation (0 with no observations).
-func (s *RunningStat) Max() float64 { return s.max }
-
-// Sum reports the total of all observations.
-func (s *RunningStat) Sum() float64 { return s.mean * float64(s.n) }
-
-// StdDev reports the sample standard deviation.
-func (s *RunningStat) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// String summarizes the statistic for logs.
-func (s *RunningStat) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g sd=%.3g",
-		s.n, s.mean, s.min, s.max, s.StdDev())
-}
-
 // Hist is a power-of-two bucketed histogram of non-negative integer
 // observations (typically latencies in ns). Bucket i counts observations
-// in [2^i, 2^(i+1)); bucket 0 also absorbs zero. The zero value is ready
-// to use.
+// in [2^i, 2^(i+1)); bucket 0 also absorbs zero. Like LatencyHist it
+// keeps exact integer n/sum/max. The zero value is ready to use.
 type Hist struct {
 	buckets [64]int64
-	stat    RunningStat
+	n       int64
+	sum     int64
+	max     int64
 }
 
 // Add records one observation; negative values are clamped to zero.
@@ -80,7 +22,11 @@ func (h *Hist) Add(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.stat.Add(float64(v))
+	h.n++
+	h.sum += v
+	if v > h.max {
+		h.max = v
+	}
 	h.buckets[log2(uint64(v))]++
 }
 
@@ -88,22 +34,26 @@ func (h *Hist) Add(v int64) {
 func (h *Hist) AddDur(d Dur) { h.Add(int64(d)) }
 
 // N reports the observation count.
-func (h *Hist) N() int64 { return h.stat.N() }
+func (h *Hist) N() int64 { return h.n }
 
-// Mean reports the mean observation.
-func (h *Hist) Mean() float64 { return h.stat.Mean() }
+// Mean reports the mean observation (0 when empty).
+func (h *Hist) Mean() float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.n)
+}
 
-// Max reports the maximum observation.
-func (h *Hist) Max() float64 { return h.stat.Max() }
+// Max reports the maximum observation (0 when empty).
+func (h *Hist) Max() float64 { return float64(h.max) }
 
 // Percentile returns an upper bound for the p-th percentile (p in
 // [0,100]) from bucket boundaries.
 func (h *Hist) Percentile(p float64) int64 {
-	total := h.stat.N()
-	if total == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	target := int64(math.Ceil(float64(total) * p / 100.0))
+	target := int64(math.Ceil(float64(h.n) * p / 100.0))
 	if target < 1 {
 		target = 1
 	}
@@ -114,7 +64,7 @@ func (h *Hist) Percentile(p float64) int64 {
 			return (int64(1) << uint(i+1)) - 1
 		}
 	}
-	return int64(h.stat.Max())
+	return h.max
 }
 
 func log2(v uint64) int {

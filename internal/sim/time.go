@@ -38,9 +38,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Seconds reports d as a floating-point number of seconds.
 func (d Dur) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Micros reports d as a floating-point number of microseconds.
-func (d Dur) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 // String formats a time with an adaptive unit, e.g. "1.400µs" or "2.3s".
 func (t Time) String() string { return Dur(t).String() }
 

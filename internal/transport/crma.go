@@ -25,9 +25,7 @@ type crmaResp struct {
 // inter-channel collaboration mechanism to deposit flow-control credits
 // directly into donor memory (§5.1.3, Fig. 9).
 type crmaPosted struct {
-	addr uint64
-	size int
-	note any // optional payload interpreted by a registered observer
+	credit *qpCredit
 }
 
 // RAMTEntry is one row of the Remote Address Mapping Table (Fig. 8):
@@ -67,7 +65,6 @@ type CRMAStats struct {
 	Replayed     int64 // in-flight accesses re-issued after a window retarget
 	DeadAccesses int64 // accesses to a revoked (dead) window, completed with poison
 	FillLat      sim.Hist
-	RemoteBkt    sim.Scoreboard // per-donor fill counts
 }
 
 // CRMA is the cacheline remote memory access channel: once a mapping is
@@ -80,10 +77,6 @@ type CRMA struct {
 	exports []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
 	pending map[uint64]*crmaPending
 	nextID  uint64
-
-	// postedObserver, when set, sees every posted store's note; the QPair
-	// collaboration path registers itself here.
-	postedObserver func(addr uint64, note any)
 
 	Stats CRMAStats
 }
@@ -130,15 +123,6 @@ func (c *CRMA) Export(recipient fabric.NodeID, recipientBase, size, localBase ui
 
 // Unmap invalidates a requester-side entry after cleanup (stop-sharing).
 func (c *CRMA) Unmap(e *RAMTEntry) { e.Valid = false }
-
-// UnexportAll invalidates every donor-side export serving a recipient.
-func (c *CRMA) UnexportAll(recipient fabric.NodeID) {
-	for _, e := range c.exports {
-		if e.Node == recipient {
-			e.Valid = false
-		}
-	}
-}
 
 // Reset wipes the channel's soft state — every mapping, every export,
 // every pending access — modeling the node rebooting: the RAMT is
@@ -263,7 +247,6 @@ func (c *CRMA) accessAsync(addr uint64, size int, write bool) *sim.Completion {
 		c.Stats.Writes++
 	} else {
 		c.Stats.Fills++
-		c.Stats.RemoteBkt.Add(e.Node.String(), 1)
 	}
 	id := c.nextID
 	c.nextID++
@@ -292,21 +275,18 @@ func (c *CRMA) Write(p *sim.Proc, addr uint64, size int) {
 	p.Await(c.WriteAsync(addr, size))
 }
 
-// PostWrite sends a fire-and-forget remote store with an attached note.
-// The donor's posted observer (if any) sees the note on arrival. Posted
-// writes are overwriteable and carry no ordering guarantee relative to
-// other channels — exactly the semantics the collaboration design needs
-// for credit updates.
-func (c *CRMA) PostWrite(dst fabric.NodeID, addr uint64, size int, note any) {
+// PostWrite sends a fire-and-forget size-byte remote store that
+// deposits credit into dst's credit mailbox region. Posted writes are
+// overwriteable and carry no ordering guarantee relative to other
+// channels — exactly the semantics the collaboration design needs for
+// credit updates.
+func (c *CRMA) PostWrite(dst fabric.NodeID, size int, credit *qpCredit) {
 	c.Stats.Posted++
-	m := &crmaPosted{addr: addr, size: size, note: note}
+	m := &crmaPosted{credit: credit}
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
 		c.ep.SendRaw(dst, "crma.post", 16+size, m)
 	})
 }
-
-// ObservePosted registers the consumer of posted-write notes.
-func (c *CRMA) ObservePosted(fn func(addr uint64, note any)) { c.postedObserver = fn }
 
 // lookupExport finds the donor-side entry matching a requester address.
 func (c *CRMA) lookupExport(from fabric.NodeID, addr uint64) (*RAMTEntry, bool) {
@@ -362,16 +342,10 @@ func (c *CRMA) handleResp(m *crmaResp) {
 // handlePosted applies a posted write at the receiver. Credit notes go
 // straight to their queue pair's hardware state machine — no software on
 // the path, which is the point of the collaboration (Fig. 9).
-func (c *CRMA) handlePosted(_ *fabric.Packet, m *crmaPosted) {
+func (c *CRMA) handlePosted(m *crmaPosted) {
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-		if cr, ok := m.note.(*qpCredit); ok {
-			if qp, live := c.ep.qpairs[cr.dstQID]; live {
-				qp.addCredits(cr.credits)
-			}
-			return
-		}
-		if c.postedObserver != nil {
-			c.postedObserver(m.addr, m.note)
+		if qp, live := c.ep.qpairs[m.credit.dstQID]; live {
+			qp.addCredits(m.credit.credits)
 		}
 	})
 }

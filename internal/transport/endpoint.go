@@ -168,7 +168,7 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 	case *crmaResp:
 		ep.CRMA.handleResp(m)
 	case *crmaPosted:
-		ep.CRMA.handlePosted(pkt, m)
+		ep.CRMA.handlePosted(m)
 	case *rdmaReq:
 		ep.RDMA.handleReq(pkt, m)
 	case *rdmaChunk:

@@ -46,10 +46,6 @@ type QPairConfig struct {
 	// CreditViaCRMA routes credit updates through the CRMA channel as
 	// posted writes instead of QPair control messages (Fig. 9 right).
 	CreditViaCRMA bool
-	// ExtraSW is additional per-message software cost, modeling thicker
-	// legacy stacks (the off-chip QPair configuration of Fig. 5 runs a
-	// conventional IB-style path).
-	ExtraSW sim.Dur
 }
 
 func (c QPairConfig) creditBatch() int {
@@ -134,7 +130,7 @@ func (q *QPair) Pending() int { return q.recvQ.Len() }
 // process for the software send path and, when flow control is enabled,
 // until a credit is available.
 func (q *QPair) Send(p *sim.Proc, size int, data any) {
-	p.Sleep(q.ep.P.QPairSWSend + q.cfg.ExtraSW)
+	p.Sleep(q.ep.P.QPairSWSend)
 	q.sendHW(p, size, data)
 }
 
@@ -192,7 +188,7 @@ func (q *QPair) release(from fabric.NodeID, m *qpMsg) {
 // path, and handles credit returns.
 func (q *QPair) Recv(p *sim.Proc) *Message {
 	msg := q.recvQ.Pop(p)
-	p.Sleep(q.ep.P.QPairSWRecv + q.cfg.ExtraSW)
+	p.Sleep(q.ep.P.QPairSWRecv)
 	q.afterConsume(p)
 	return msg
 }
@@ -205,18 +201,6 @@ func (q *QPair) RecvHW(p *sim.Proc) *Message {
 	msg := q.recvQ.Pop(p)
 	q.afterConsume(p)
 	return msg
-}
-
-// TryRecv polls for a message without blocking for arrival (the software
-// receive cost still applies when a message is returned).
-func (q *QPair) TryRecv(p *sim.Proc) (*Message, bool) {
-	msg, ok := q.recvQ.TryPop()
-	if !ok {
-		return nil, false
-	}
-	p.Sleep(q.ep.P.QPairSWRecv + q.cfg.ExtraSW)
-	q.afterConsume(p)
-	return msg, true
 }
 
 // afterConsume accumulates consumed buffers and returns credits to the
@@ -236,22 +220,17 @@ func (q *QPair) afterConsume(p *sim.Proc) {
 	if q.cfg.CreditViaCRMA {
 		// Collaborative path: a posted CRMA store into a dedicated,
 		// overwriteable credit region — no software on either side.
-		q.ep.CRMA.PostWrite(q.peer, creditRegionBase+uint64(q.id), 4, cr)
+		q.ep.CRMA.PostWrite(q.peer, 4, cr)
 		return
 	}
 	// Traditional path: a QPair control message — a lighter software
 	// post than a data send, but still on the receiver's CPU and still a
 	// full traversal of the channel's latency.
-	p.Sleep(q.ep.P.QPairCreditSW + q.cfg.ExtraSW)
+	p.Sleep(q.ep.P.QPairCreditSW)
 	q.ep.Eng.Schedule(q.ep.P.QPairDoor, func() {
 		q.ep.SendRaw(q.peer, "qpair.credit", 8, cr)
 	})
 }
-
-// creditRegionBase is the conventional address of the credit mailbox
-// region used by collaborative flow control. Posted credit writes carry
-// their meaning in-band, so the exact value only namespaces the region.
-const creditRegionBase uint64 = 0xC0DE_0000_0000
 
 // addCredits releases n transmit credits.
 func (q *QPair) addCredits(n int) {

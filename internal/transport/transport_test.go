@@ -251,34 +251,6 @@ func TestQPairPingPongRTT(t *testing.T) {
 	}
 }
 
-func TestQPairLegacyStackIsSlower(t *testing.T) {
-	run := func(extra sim.Dur) sim.Dur {
-		r := newRig(t)
-		qa, qb := ConnectQPair(r.a, r.b, QPairConfig{ExtraSW: extra})
-		var rtt sim.Dur
-		r.eng.Go("server", func(p *sim.Proc) {
-			qb.Recv(p)
-			qb.Send(p, 64, nil)
-		})
-		r.eng.Go("client", func(p *sim.Proc) {
-			t0 := p.Now()
-			qa.Send(p, 64, nil)
-			qa.Recv(p)
-			rtt = p.Now().Sub(t0)
-		})
-		r.eng.Run()
-		return rtt
-	}
-	fast, slow := run(0), run(5*sim.Microsecond)
-	if slow <= fast {
-		t.Fatalf("legacy stack RTT %v not slower than lean stack %v", slow, fast)
-	}
-	// Four software crossings -> 20µs extra.
-	if d := slow - fast; d != 20*sim.Microsecond {
-		t.Fatalf("extra SW delta = %v, want 20µs", d)
-	}
-}
-
 func TestQPairFlowControlBlocksSender(t *testing.T) {
 	r := newRig(t)
 	qa, qb := ConnectQPair(r.a, r.b, QPairConfig{Window: 4, CreditBatch: 2})

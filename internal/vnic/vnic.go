@@ -194,6 +194,3 @@ func (b *Bond) Drained() sim.Time {
 	}
 	return latest
 }
-
-// Slaves reports the bond's member count.
-func (b *Bond) Slaves() int { return len(b.slaves) }
